@@ -2,9 +2,8 @@
 
 Times the overhead the persistent queue adds on top of the bare grid
 runner (submit + atomic state writes + JSON result round-trip per
-cell), the replay path a resumed run takes (all cells already done on
-disk), and the data-parallel ``fit`` against the plain single-stream
-fit on the same workload.  Entries follow the shared
+cell) and the replay path a resumed run takes (all cells already done
+on disk).  Entries follow the shared
 ``BENCH_<suite>.json`` schema (``name`` / ``mean_s`` / ``stddev_s`` /
 ``rounds``), so ``check_regression.py`` gates on the means exactly as
 it does for the other suites.
@@ -24,19 +23,14 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 BENCH_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(BENCH_DIR.parent / "src"))
 
 from repro.core.parallel import run_grid  # noqa: E402
 from repro.jobs import run_cells  # noqa: E402
-from repro.nn import Dense, ReLU, Sequential, Softmax  # noqa: E402
 from repro.obs import log as obs_log  # noqa: E402
 
 GRID_CELLS = 16
-FIT_SAMPLES = 2048
-FIT_EPOCHS = 2
 
 
 def _time(fn, rounds, warmup):
@@ -90,28 +84,10 @@ def _queued_replay_factory():
     return replay, tmp
 
 
-def _fit_data(seed=7):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(FIT_SAMPLES, 16)).astype(np.float64)
-    y = (x.sum(axis=1) > 0).astype(int)
-    return x, y
-
-
-def _fit_once(data_parallel):
-    x, y = _fit_data()
-    model = Sequential([Dense(32), ReLU(), Dense(2), Softmax()])
-    model.build((16,), np.random.default_rng(5)).compile()
-    model.fit(
-        x, y, epochs=FIT_EPOCHS, batch_size=256,
-        rng=np.random.default_rng(6), data_parallel=data_parallel,
-    )
-
-
 def run(quick: bool) -> dict:
     # Quick mode cuts rounds, never shapes: entry names must match the
     # committed full-mode baseline so check_regression compares them.
     grid_rounds = 3 if quick else 15
-    fit_rounds = 2 if quick else 6
     warmup = 1
     entries = []
 
@@ -136,17 +112,6 @@ def run(quick: bool) -> dict:
     finally:
         tmp.cleanup()
     entries.append(_entry("queue_replay_16cells", samples, cells=GRID_CELLS))
-
-    for n in (1, 2):
-        samples = _time(lambda n=n: _fit_once(n), fit_rounds, warmup)
-        entries.append(
-            _entry(
-                f"fit_data_parallel_{n}",
-                samples,
-                samples_per_fit=FIT_SAMPLES,
-                epochs=FIT_EPOCHS,
-            )
-        )
 
     return {
         "suite": "jobs",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import statistics
 import tempfile
 import threading
@@ -31,12 +30,6 @@ from pathlib import Path
 import numpy as np
 
 BENCH_DIR = Path(__file__).resolve().parent
-
-
-def _percentile(values, q):
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return float(ordered[rank - 1])
 
 
 def _drive(worker, requests: int, threads: int):
@@ -71,14 +64,16 @@ def _drive(worker, requests: int, threads: int):
 
 
 def _entry(name: str, latencies, wall_s: float, metrics_snapshot=None) -> dict:
+    from repro.obs.metrics import quantile
+
     entry = {
         "name": name,
         "mean_s": statistics.fmean(latencies),
         "stddev_s": statistics.pstdev(latencies),
         "rounds": len(latencies),
-        "p50_s": _percentile(latencies, 50.0),
-        "p95_s": _percentile(latencies, 95.0),
-        "p99_s": _percentile(latencies, 99.0),
+        "p50_s": quantile(latencies, 50.0),
+        "p95_s": quantile(latencies, 95.0),
+        "p99_s": quantile(latencies, 99.0),
         "throughput_rps": len(latencies) / wall_s,
     }
     if metrics_snapshot is not None:

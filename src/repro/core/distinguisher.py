@@ -91,10 +91,7 @@ class MLDistinguisher:
     (``None`` keeps the historical single-stream generator; see
     :mod:`repro.core.parallel`).  ``dtype`` selects the network compute
     precision (``"float32"`` or ``"float64"``; ``None`` keeps the
-    model's own default).  ``data_parallel`` spreads each training batch
-    over that many gradient-shard threads (bit-identical for any count;
-    see :meth:`repro.nn.model.Sequential.fit`); ``None`` defers to the
-    ``REPRO_DATA_PARALLEL`` knob.
+    model's own default).
     """
 
     def __init__(
@@ -106,7 +103,6 @@ class MLDistinguisher:
         rng=None,
         workers: Optional[int] = None,
         dtype=None,
-        data_parallel: Optional[int] = None,
     ):
         if epochs <= 0:
             raise DistinguisherError(f"epochs must be positive, got {epochs}")
@@ -115,7 +111,6 @@ class MLDistinguisher:
         self.batch_size = int(batch_size)
         self.workers = workers
         self.dtype = dtype
-        self.data_parallel = data_parallel
         self._rng = make_rng(rng)
         if model is None:
             model = minimal_three_layer(num_classes=scenario.num_classes)
@@ -162,7 +157,6 @@ class MLDistinguisher:
             batch_size=self.batch_size,
             rng=derive_rng(self._rng, "batches"),
             verbose=verbose,
-            data_parallel=self.data_parallel,
         )
         _, metrics = self.model.evaluate(x[cut:], y[cut:])
         val_accuracy = metrics["accuracy"]

@@ -36,11 +36,11 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.core.parallel import resolve_workers
-from repro.jobs import atomic_write_text
 from repro.obs import agg as obs_agg
 from repro.obs import context as obs_context
 from repro.obs import events as obs_events
 from repro.obs import trace
+from repro.utils.atomic import atomic_write
 
 #: Manifest schema version, bumped on incompatible layout changes.
 #: v2: atomic writes, ``workers`` (requested/resolved), ``cells``.
@@ -67,19 +67,17 @@ def _repro_env() -> Dict[str, str]:
 
 
 def _compute_manifest() -> Dict:
-    """The resolved compute substrate: backend, BLAS control, kernels.
+    """The resolved compute substrate: BLAS control and kernels.
 
     ``env`` above records what was *requested*; this records what the
-    process actually *resolved* — which backend ``REPRO_BACKEND`` named,
-    whether the BLAS thread-count symbols were found, and whether the
-    compiled int8 kernel passed its load-time self-test — so two
-    manifests can be compared for compute-substrate drift, not just
-    knob drift.
+    process actually *resolved* — whether the BLAS thread-count symbols
+    were found, and whether the compiled int8 kernel passed its
+    load-time self-test — so two manifests can be compared for
+    compute-substrate drift, not just knob drift.
     """
-    from repro.nn.backend import blas, get_backend, qkernel
+    from repro.nn.backend import blas, qkernel
 
     return {
-        "backend": type(get_backend()).__name__,
         "blas_threads_controllable": blas.controllable(),
         "quant_mode": qkernel.quant_mode(),
         "quant_kernel_available": qkernel.available(),
@@ -189,7 +187,7 @@ def run_with_manifest(name: str, run_dir, **kwargs) -> Tuple[Dict, Path]:
         obs_context.flush_main(spans, ctx=ctx)
         merged = obs_agg.merge_run(run_dir)
     result_path = run_dir / f"{name}_result.json"
-    atomic_write_text(
+    atomic_write(
         result_path, json.dumps(result, indent=2, default=str) + "\n"
     )
     manifest = {
@@ -220,7 +218,7 @@ def run_with_manifest(name: str, run_dir, **kwargs) -> Tuple[Dict, Path]:
         },
     }
     manifest_path = run_dir / f"{name}_manifest.json"
-    atomic_write_text(
+    atomic_write(
         manifest_path, json.dumps(manifest, indent=2, default=str) + "\n"
     )
     return result, manifest_path

@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.jobs import atomic_write_text
+from repro.utils.atomic import atomic_write
 
 # -- plain-text tables (legacy surface) ------------------------------------
 
@@ -575,6 +575,6 @@ def write_run_report(run_dir) -> List[Path]:
     run = collect_run(run_dir)
     md_path = run_dir / "report.md"
     html_path = run_dir / "report.html"
-    atomic_write_text(md_path, render_markdown(run))
-    atomic_write_text(html_path, render_html(run))
+    atomic_write(md_path, render_markdown(run))
+    atomic_write(html_path, render_html(run))
     return [md_path, html_path]

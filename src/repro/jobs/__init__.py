@@ -16,7 +16,6 @@ from repro.jobs.queue import (
     RUNNING,
     JobQueue,
     atomic_write_json,
-    atomic_write_text,
     jsonify,
     spec_fingerprint,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "JobQueue",
     "JobRunner",
     "atomic_write_json",
-    "atomic_write_text",
     "bind_run",
     "jsonify",
     "run_cells",

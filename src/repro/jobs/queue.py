@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -49,6 +47,7 @@ import numpy as np
 
 from repro.errors import JobError
 from repro.obs import log as obs_log
+from repro.utils.atomic import atomic_write
 
 _log = obs_log.get_logger("repro.jobs")
 
@@ -87,32 +86,9 @@ def jsonify(value):
     )
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` via a same-directory temp file + rename.
-
-    ``os.replace`` is atomic on POSIX, so readers (and a resumed run)
-    see either the previous content or the full new content, never a
-    truncated file.
-    """
-    path = Path(path)
-    handle, tmp = tempfile.mkstemp(
-        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            stream.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def atomic_write_json(path, payload) -> None:
     """Atomically write ``payload`` as indented JSON."""
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def spec_fingerprint(spec: Dict) -> str:

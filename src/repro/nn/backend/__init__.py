@@ -1,193 +1,10 @@
-"""Pluggable compute backends for the NN substrate.
+"""Low-level compute support for the NN substrate.
 
-Every hot kernel the layers and losses execute — matmul/affine, the
-elementwise activations, the Conv1D column matmuls, the LSTM gate
-fusion — goes through a :class:`Backend` instance instead of calling
-numpy directly.  The reference implementation is
-:class:`~repro.nn.backend.numpy_backend.NumpyBackend`, whose ops are
-the exact expressions the layers used before the refactor, so routing
-through it is bit-identical (pinned in ``tests/test_nn_backend.py``).
+* :mod:`repro.nn.backend.blas` — BLAS thread domains: per-domain
+  OpenBLAS pool sizes around ``Sequential.fit`` (``"train"``) and the
+  serving engine's fused predicts (``"serve"``);
+* :mod:`repro.nn.backend.qkernel` — the compiled int8 inference kernel
+  behind :mod:`repro.nn.quant`.
 
-Why the seam exists:
-
-* alternative kernels (threaded elementwise, numexpr-style fusion,
-  SIMD libraries, the int8 kernels of :mod:`repro.nn.quant`) become
-  drop-in backends instead of per-layer surgery;
-* the bit-exactness pins live in one place: a new backend is validated
-  by comparing against ``NumpyBackend`` op by op;
-* per-call BLAS thread-domain control (train vs serve) attaches here
-  (:mod:`repro.nn.backend.blas`).
-
-Selection: ``Sequential.compile(backend=...)`` takes a name or a
-:class:`Backend` instance; unset falls back to the ``REPRO_BACKEND``
-environment knob and then to ``"numpy"``.  Third-party backends hook in
-via :func:`register_backend`.
+The layers and losses themselves call numpy directly.
 """
-
-from __future__ import annotations
-
-import os
-from typing import Callable, Dict, Optional, Union
-
-from repro.errors import TrainingError
-from repro.nn.backend import blas
-
-#: Environment knob naming the default backend (see EXPERIMENTS.md).
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-
-class Backend:
-    """The ops contract the NN layers and losses compute through.
-
-    Array arguments and results are plain numpy ``ndarray``s; ``out=``
-    parameters follow numpy conventions (write into ``out`` and return
-    it).  Implementations must be deterministic: the same inputs yield
-    the same bits on every call.
-    """
-
-    #: Registry key; subclasses override.
-    name = "abstract"
-
-    # -- linear algebra ----------------------------------------------------
-
-    def matmul(self, a, b, out=None):
-        """``a @ b``, optionally into ``out``."""
-        raise NotImplementedError
-
-    def affine(self, x, w, b=None, out=None):
-        """``x @ w`` plus an optional broadcast bias ``b``."""
-        raise NotImplementedError
-
-    def colsum(self, a, out=None):
-        """Column sums (``a.sum(axis=0)``), optionally into ``out``."""
-        raise NotImplementedError
-
-    # -- elementwise activations -------------------------------------------
-
-    def relu(self, x, mask_out):
-        """Fill ``mask_out`` with ``x > 0``; return ``x * mask_out``."""
-        raise NotImplementedError
-
-    def relu_backward(self, grad, mask):
-        raise NotImplementedError
-
-    def leaky_relu(self, x, alpha):
-        """Return ``(where(x > 0, x, alpha * x), mask)``."""
-        raise NotImplementedError
-
-    def leaky_relu_backward(self, grad, mask, alpha):
-        raise NotImplementedError
-
-    def sigmoid(self, x):
-        raise NotImplementedError
-
-    def sigmoid_into(self, x, out):
-        """Sigmoid written into ``out``; bit-identical to :meth:`sigmoid`."""
-        raise NotImplementedError
-
-    def sigmoid_backward(self, grad, out):
-        raise NotImplementedError
-
-    def tanh(self, x, out=None):
-        raise NotImplementedError
-
-    def tanh_backward(self, grad, out):
-        raise NotImplementedError
-
-    def softmax(self, x):
-        """Numerically stable softmax over the last axis."""
-        raise NotImplementedError
-
-    def softmax_backward(self, grad, out):
-        raise NotImplementedError
-
-    # -- scalar ufunc helpers (losses) -------------------------------------
-
-    def clip(self, x, lo, hi):
-        raise NotImplementedError
-
-    def log(self, x):
-        raise NotImplementedError
-
-    def exp(self, x):
-        raise NotImplementedError
-
-    # -- fused sequence kernels --------------------------------------------
-
-    def lstm_gates(self, z, gates_t, units):
-        """The LSTM gate-activation block.
-
-        ``z`` is the ``(batch, 4 * units)`` pre-activation, ``gates_t``
-        the ``(4, batch, units)`` gate-major output slab: sigmoid into
-        input/forget/output gates, tanh into the cell candidate.
-        """
-        raise NotImplementedError
-
-    # -- BLAS thread domains -----------------------------------------------
-
-    def thread_domain(self, domain: str):
-        """Context manager pinning the BLAS pool for ``domain`` work.
-
-        Domains are ``"train"`` and ``"serve"``; see
-        :mod:`repro.nn.backend.blas` for the environment knobs.  The
-        default implementation delegates to the process-wide OpenBLAS
-        control and is a no-op when the knobs are unset.
-        """
-        return blas.thread_domain(domain)
-
-
-#: name -> zero-argument factory returning a Backend.
-_REGISTRY: Dict[str, Callable[[], Backend]] = {}
-_INSTANCES: Dict[str, Backend] = {}
-
-
-def register_backend(name: str, factory: Callable[[], Backend]) -> None:
-    """Register a backend factory under ``name`` (overwrites)."""
-    if not name:
-        raise TrainingError("backend name must be non-empty")
-    _REGISTRY[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def available_backends() -> list:
-    """Sorted registered backend names."""
-    return sorted(_REGISTRY)
-
-
-def get_backend(spec: Union[None, str, Backend] = None) -> Backend:
-    """Resolve a backend from an instance, a name, or the environment.
-
-    ``None`` reads ``REPRO_BACKEND`` (unset -> ``"numpy"``).  Named
-    backends are process-wide singletons, so scratch owned by a backend
-    is shared the way module-level numpy state always was.
-    """
-    if isinstance(spec, Backend):
-        return spec
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV_VAR, "") or "numpy"
-    try:
-        factory = _REGISTRY[spec]
-    except KeyError:
-        known = ", ".join(available_backends())
-        raise TrainingError(
-            f"unknown backend {spec!r}; known: {known}"
-        ) from None
-    if spec not in _INSTANCES:
-        _INSTANCES[spec] = factory()
-    return _INSTANCES[spec]
-
-
-# The reference backend registers itself on import.
-from repro.nn.backend.numpy_backend import NumpyBackend  # noqa: E402
-
-register_backend("numpy", NumpyBackend)
-
-__all__ = [
-    "BACKEND_ENV_VAR",
-    "Backend",
-    "NumpyBackend",
-    "available_backends",
-    "blas",
-    "get_backend",
-    "register_backend",
-]

@@ -116,7 +116,7 @@ class Conv1D(Layer):
         cols, padded_steps = self._im2col(x)
         out_steps = padded_steps - k + 1
         out = np.empty((n, out_steps, self.filters), dtype=x.dtype)
-        self.backend.matmul(
+        np.matmul(
             cols,
             kernel.reshape(k * channels, self.filters),
             out=out.reshape(n * out_steps, self.filters),
@@ -133,17 +133,17 @@ class Conv1D(Layer):
         kernel = self.params[0]
         k = self.kernel_size
         grad2 = np.ascontiguousarray(grad).reshape(n * out_steps, self.filters)
-        self.backend.matmul(
+        np.matmul(
             cols.T, grad2, out=self.grads[0].reshape(k * channels, self.filters)
         )
         if self.use_bias:
-            self.backend.colsum(grad2, out=self.grads[1])
+            grad2.sum(axis=0, out=self.grads[1])
         if self.skip_input_grad:
             return None
         col_grad = scratch_buffer(
             self._scratch, "col_grad", (n * out_steps, k * channels), grad2.dtype
         )
-        self.backend.matmul(
+        np.matmul(
             grad2, kernel.reshape(k * channels, self.filters).T, out=col_grad
         )
         left, right = self._pad_amounts()

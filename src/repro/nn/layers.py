@@ -17,10 +17,8 @@ float64 for exact-gradient tests; float32 opt-in via
 ``Sequential.compile(..., dtype="float32")`` roughly halves both memory
 traffic and matmul wall-clock on the training hot path).
 
-Every hot kernel (matmuls, activations) is executed through the layer's
-``backend`` (:mod:`repro.nn.backend`), defaulting to the reference
-``NumpyBackend`` whose ops are the exact pre-refactor expressions —
-``tests/test_nn_backend.py`` pins the routing bit-identical.
+``tests/test_nn_backend.py`` pins every layer's forward and backward
+bitwise against independently spelled numpy references.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import LayerError
-from repro.nn.backend import Backend, get_backend
 from repro.nn.initializers import get_initializer
 
 
@@ -59,6 +56,22 @@ def scratch_zeros(store: dict, name: str, shape, dtype) -> np.ndarray:
     return buf
 
 
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Logistic function of ``x`` computed in place in ``out``.
+
+    The clip bounds keep the exponent finite in float32 and float64, so
+    the in-place chain rounds exactly like
+    ``1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))``.  Shared by
+    :class:`Sigmoid` and the LSTM gate block.
+    """
+    np.clip(x, -500, 500, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    return out
+
+
 class Layer:
     """Base class for all layers."""
 
@@ -78,11 +91,6 @@ class Layer:
         self.built = False
         self.trainable = True
         self.dtype: np.dtype = np.dtype(np.float64)
-        self.backend: Backend = get_backend()
-
-    def set_backend(self, backend) -> None:
-        """Route this layer's compute through ``backend`` (name or instance)."""
-        self.backend = get_backend(backend)
 
     def set_dtype(self, dtype) -> None:
         """Switch the compute dtype, casting any existing parameters."""
@@ -157,21 +165,22 @@ class Dense(Layer):
 
     def forward(self, x, training=False):
         self._x = x if training else None
-        return self.backend.affine(
-            x, self.params[0], self.params[1] if self.use_bias else None
-        )
+        out = x @ self.params[0]
+        if self.use_bias:
+            out += self.params[1]
+        return out
 
     def backward(self, grad):
         if self._x is None:
             raise LayerError("backward called without a training forward pass")
         # Write straight into the persistent gradient buffers instead of
         # allocating fresh arrays every step.
-        self.backend.matmul(self._x.T, grad, out=self.grads[0])
+        np.matmul(self._x.T, grad, out=self.grads[0])
         if self.use_bias:
-            self.backend.colsum(grad, out=self.grads[1])
+            grad.sum(axis=0, out=self.grads[1])
         if self.skip_input_grad:
             return None
-        return self.backend.matmul(grad, self.params[0].T)
+        return grad @ self.params[0].T
 
     def output_shape(self, input_shape):
         return (self.units,)
@@ -194,14 +203,15 @@ class ReLU(Layer):
 
     def forward(self, x, training=False):
         mask = scratch_buffer(self._scratch, "mask", x.shape, np.bool_)
-        out = self.backend.relu(x, mask)
+        np.greater(x, 0, out=mask)
+        out = x * mask
         self._mask = mask if training else None
         return out
 
     def backward(self, grad):
         if self._mask is None:
             raise LayerError("backward called without a training forward pass")
-        return self.backend.relu_backward(grad, self._mask)
+        return grad * self._mask
 
 
 class LeakyReLU(Layer):
@@ -215,14 +225,15 @@ class LeakyReLU(Layer):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x, training=False):
-        out, mask = self.backend.leaky_relu(x, self.alpha)
+        mask = x > 0
+        out = np.where(mask, x, self.alpha * x)
         self._mask = mask if training else None
         return out
 
     def backward(self, grad):
         if self._mask is None:
             raise LayerError("backward called without a training forward pass")
-        return self.backend.leaky_relu_backward(grad, self._mask, self.alpha)
+        return np.where(self._mask, grad, self.alpha * grad)
 
     def get_config(self):
         return {"alpha": self.alpha}
@@ -236,14 +247,14 @@ class Sigmoid(Layer):
         self._out: Optional[np.ndarray] = None
 
     def forward(self, x, training=False):
-        out = self.backend.sigmoid(x)
+        out = _sigmoid(x, np.empty_like(x))
         self._out = out if training else None
         return out
 
     def backward(self, grad):
         if self._out is None:
             raise LayerError("backward called without a training forward pass")
-        return self.backend.sigmoid_backward(grad, self._out)
+        return grad * self._out * (1.0 - self._out)
 
 
 class Tanh(Layer):
@@ -254,14 +265,14 @@ class Tanh(Layer):
         self._out: Optional[np.ndarray] = None
 
     def forward(self, x, training=False):
-        out = self.backend.tanh(x)
+        out = np.tanh(x)
         self._out = out if training else None
         return out
 
     def backward(self, grad):
         if self._out is None:
             raise LayerError("backward called without a training forward pass")
-        return self.backend.tanh_backward(grad, self._out)
+        return grad * (1.0 - self._out**2)
 
 
 class Softmax(Layer):
@@ -272,14 +283,17 @@ class Softmax(Layer):
         self._out: Optional[np.ndarray] = None
 
     def forward(self, x, training=False):
-        out = self.backend.softmax(x)
+        exp = np.exp(x - x.max(axis=-1, keepdims=True))
+        out = exp / exp.sum(axis=-1, keepdims=True)
         self._out = out if training else None
         return out
 
     def backward(self, grad):
         if self._out is None:
             raise LayerError("backward called without a training forward pass")
-        return self.backend.softmax_backward(grad, self._out)
+        out = self._out
+        inner = (grad * out).sum(axis=-1, keepdims=True)
+        return out * (grad - inner)
 
 
 class Dropout(Layer):

@@ -13,20 +13,12 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import ShapeError, TrainingError
-from repro.nn.backend import Backend, get_backend
 
 _EPS = 1e-12
 
 
 class Loss:
     """Base class: ``__call__`` returns ``(loss_value, grad_wrt_predictions)``."""
-
-    def __init__(self):
-        self.backend: Backend = get_backend()
-
-    def set_backend(self, backend) -> None:
-        """Route this loss's compute through ``backend`` (name or instance)."""
-        self.backend = get_backend(backend)
 
     def __call__(self, y_true: np.ndarray, y_pred: np.ndarray) -> Tuple[float, np.ndarray]:
         raise NotImplementedError
@@ -66,15 +58,14 @@ class CategoricalCrossentropy(Loss):
         n = y_true.shape[0]
         if n == 0:
             raise TrainingError("cannot evaluate a loss on an empty batch")
-        be = self.backend
         if self.from_logits:
             shifted = y_pred - y_pred.max(axis=-1, keepdims=True)
-            log_probs = shifted - be.log(be.exp(shifted).sum(axis=-1, keepdims=True))
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
             loss = -(y_true * log_probs).sum() / n
-            grad = (be.exp(log_probs) - y_true) / n
+            grad = (np.exp(log_probs) - y_true) / n
             return float(loss), grad
-        clipped = be.clip(y_pred, _EPS, 1.0)
-        loss = -(y_true * be.log(clipped)).sum() / n
+        clipped = np.clip(y_pred, _EPS, 1.0)
+        loss = -(y_true * np.log(clipped)).sum() / n
         grad = -(y_true / clipped) / n
         return float(loss), grad
 
@@ -89,13 +80,12 @@ class CategoricalCrossentropy(Loss):
         n = y_true.shape[0]
         if n == 0:
             raise TrainingError("cannot evaluate a loss on an empty batch")
-        be = self.backend
         if self.from_logits:
             shifted = y_pred - y_pred.max(axis=-1, keepdims=True)
-            log_probs = shifted - be.log(be.exp(shifted).sum(axis=-1, keepdims=True))
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
             return float(-(y_true * log_probs).sum() / n)
-        clipped = be.clip(y_pred, _EPS, 1.0)
-        return float(-(y_true * be.log(clipped)).sum() / n)
+        clipped = np.clip(y_pred, _EPS, 1.0)
+        return float(-(y_true * np.log(clipped)).sum() / n)
 
 
 class BinaryCrossentropy(Loss):
@@ -109,10 +99,9 @@ class BinaryCrossentropy(Loss):
         n = y_true.shape[0]
         if n == 0:
             raise TrainingError("cannot evaluate a loss on an empty batch")
-        be = self.backend
-        clipped = be.clip(y_pred, _EPS, 1.0 - _EPS)
+        clipped = np.clip(y_pred, _EPS, 1.0 - _EPS)
         loss = -(
-            y_true * be.log(clipped) + (1.0 - y_true) * be.log(1.0 - clipped)
+            y_true * np.log(clipped) + (1.0 - y_true) * np.log(1.0 - clipped)
         ).sum() / n
         grad = (clipped - y_true) / (clipped * (1.0 - clipped)) / n
         return float(loss), grad

@@ -30,10 +30,8 @@ instrumented run is bit-identical to a bare one.
 from __future__ import annotations
 
 import json
-import os
-import queue as queue_mod
 import time
-from concurrent.futures import ThreadPoolExecutor
+import zipfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +45,7 @@ from repro.obs.trace import span
 from repro.nn import conv as conv_mod
 from repro.nn import layers as layers_mod
 from repro.nn import recurrent as recurrent_mod
-from repro.nn.backend import Backend, get_backend
+from repro.nn.backend import blas
 from repro.nn.callbacks import Callback, History
 from repro.nn.layers import Layer, Softmax
 from repro.nn.losses import (
@@ -74,192 +72,6 @@ def _layer_class(name: str):
     raise LayerError(f"unknown layer class {name!r} in saved model")
 
 
-#: Rows per gradient shard in data-parallel training.  The shard plan is
-#: a function of the batch size alone — never of the worker count — so
-#: ``fit(data_parallel=N)`` is bit-identical for every ``N``; changing
-#: this constant changes the shard boundaries and hence the (still
-#: deterministic) floating-point reduction order.
-DATA_PARALLEL_SHARD_ROWS = 64
-
-
-def data_parallel_from_env() -> Optional[int]:
-    """Read ``REPRO_DATA_PARALLEL`` (unset -> ``None``: plain fit path)."""
-    raw = os.environ.get("REPRO_DATA_PARALLEL", "")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise TrainingError(
-            f"REPRO_DATA_PARALLEL must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise TrainingError(
-            f"REPRO_DATA_PARALLEL must be a positive integer, got {value}"
-        )
-    return value
-
-
-def _tree_reduce(values):
-    """Sum ``values`` with a balanced pairwise tree.
-
-    The reduction order is a function of ``len(values)`` alone, so the
-    floating-point result is identical no matter how many workers
-    produced the elements — the same guarantee
-    :mod:`repro.core.parallel` gives dataset shards.
-    """
-    values = list(values)
-    while len(values) > 1:
-        paired = [
-            values[i] + values[i + 1] for i in range(0, len(values) - 1, 2)
-        ]
-        if len(values) % 2:
-            paired.append(values[-1])
-        values = paired
-    return values[0]
-
-
-class _DataParallel:
-    """Shard-gradient training steps for :meth:`Sequential.fit`.
-
-    Each mini-batch is cut into fixed-size shards
-    (:data:`DATA_PARALLEL_SHARD_ROWS` rows, worker-count independent).
-    Every shard runs a full forward/backward pass on a model replica —
-    the replicas *share* the master's parameter arrays (reads only;
-    the sole writer is the optimizer, which runs after all shards
-    finish) but own their activation caches and gradient buffers, so
-    ``workers`` shards can proceed concurrently in threads (numpy/BLAS
-    release the GIL on the heavy kernels).  Shard gradients are scaled
-    to batch-sum contributions and combined with :func:`_tree_reduce`
-    in shard order; the single optimizer update then runs on the master.
-
-    Because the shard plan, the per-shard arithmetic and the reduction
-    tree are all independent of ``workers``, the trained parameters are
-    **bit-identical for any worker count** — pinned in
-    ``tests/test_nn_data_parallel.py``.
-    """
-
-    def __init__(self, model: "Sequential", workers: int):
-        if workers < 1:
-            raise TrainingError(
-                f"data_parallel must be >= 1, got {workers}"
-            )
-        self.model = model
-        self.workers = int(workers)
-        self.fused = model._fused_softmax_cce()
-        self.stochastic = any(layer.stochastic for layer in model.layers)
-        self.master_params, self.master_grads = model._gather()
-        # Replica 0 is the master itself; clones cover the rest.  A
-        # replica is only ever used by one shard at a time (exclusive
-        # checkout from ``self.pool``).
-        replicas = [model]
-        for _ in range(self.workers - 1):
-            replicas.append(self._clone_replica())
-        self.pool: "queue_mod.Queue" = queue_mod.Queue()
-        for replica in replicas:
-            self.pool.put(replica)
-        self.executor = (
-            ThreadPoolExecutor(max_workers=self.workers)
-            if self.workers > 1
-            else None
-        )
-
-    def _clone_replica(self) -> "Sequential":
-        model = self.model
-        clone = Sequential(
-            [
-                _layer_class(layer.name)(**layer.get_config())
-                for layer in model.layers
-            ]
-        )
-        clone.dtype = model.dtype
-        clone.backend = model.backend
-        clone.loss = model.loss  # losses are stateless value/grad maps
-        clone.build(model.input_shape, rng=0)
-        # Share the master's parameter arrays: replicas only read them
-        # during shard passes, and the optimizer's in-place update is
-        # then visible to every replica with no per-step copying.
-        offset = 0
-        for layer in clone.layers:
-            if not layer.trainable:
-                continue
-            for j in range(len(layer.params)):
-                layer.params[j] = self.master_params[offset]
-                offset += 1
-        assert offset == len(self.master_params)
-        return clone
-
-    def close(self) -> None:
-        if self.executor is not None:
-            self.executor.shutdown(wait=True)
-
-    def _shard_pass(self, xb, yb, n_total, rng):
-        """One shard's forward/backward on an exclusively-held replica."""
-        replica = self.pool.get()
-        try:
-            pred = replica.forward(xb, training=True, rng=rng)
-            if self.fused:
-                loss_value = replica.loss.value(yb, pred)
-                # Scale by 1/n_total (not 1/shard): the shard gradients
-                # are then batch-sum contributions and the tree reduce
-                # yields exactly the full-batch mean gradient.
-                grad = (pred - yb) / n_total
-                for index in range(len(replica.layers) - 2, -1, -1):
-                    grad = replica.layers[index].backward(grad)
-                    if grad is None:
-                        break
-            else:
-                loss_value, grad = replica.loss(yb, pred)
-                grad = grad * (yb.shape[0] / n_total)
-                replica.backward(grad)
-            _, grads = replica._gather()
-            # The replica's buffers are overwritten by its next shard,
-            # so the contribution must be copied out.
-            return loss_value, pred, [g.copy() for g in grads]
-        finally:
-            self.pool.put(replica)
-
-    def step(self, xb, yb, generator) -> Tuple[float, np.ndarray]:
-        """One data-parallel train step; returns ``(loss, predictions)``."""
-        n = xb.shape[0]
-        bounds = list(range(0, n, DATA_PARALLEL_SHARD_ROWS))
-        shards = [
-            (begin, xb[begin:begin + DATA_PARALLEL_SHARD_ROWS],
-             yb[begin:begin + DATA_PARALLEL_SHARD_ROWS])
-            for begin in bounds
-        ]
-        # Stochastic layers (Dropout) get one pre-derived stream per
-        # shard — drawn in shard order, so the stream plan is as
-        # worker-count independent as the shard plan.
-        if self.stochastic:
-            seeds = generator.integers(0, 2**63 - 1, size=len(shards))
-            rngs = [make_rng(int(seed)) for seed in seeds]
-        else:
-            rngs = [None] * len(shards)
-        if self.executor is None or len(shards) == 1:
-            results = [
-                self._shard_pass(sx, sy, n, rng)
-                for (_, sx, sy), rng in zip(shards, rngs)
-            ]
-        else:
-            futures = [
-                self.executor.submit(self._shard_pass, sx, sy, n, rng)
-                for (_, sx, sy), rng in zip(shards, rngs)
-            ]
-            results = [future.result() for future in futures]
-        loss_value = float(
-            _tree_reduce(
-                [value * shard[1].shape[0] for value, shard
-                 in zip((r[0] for r in results), shards)]
-            ) / n
-        )
-        pred = np.concatenate([r[1] for r in results], axis=0)
-        for j, buffer in enumerate(self.master_grads):
-            np.copyto(buffer, _tree_reduce([r[2][j] for r in results]))
-        self.model.optimizer.update(self.master_params, self.master_grads)
-        return loss_value, pred
-
-
 def _registry_name(instance, registry: dict) -> Optional[str]:
     """The Keras-style string key for ``instance``, or ``None`` if custom."""
     for key, cls in registry.items():
@@ -278,7 +90,6 @@ class Sequential:
         self.optimizer: Optional[Optimizer] = None
         self.metric_names: List[str] = []
         self.dtype: np.dtype = np.dtype(np.float64)
-        self.backend: Backend = get_backend()
         self._output_units: Optional[int] = None
         # Set when the model came from a saved file that carried no
         # compile metadata, so misuse errors can say *why* it is not
@@ -307,7 +118,6 @@ class Sequential:
         self.input_shape = shape
         for layer in self.layers:
             layer.set_dtype(self.dtype)
-            layer.set_backend(self.backend)
             if not layer.built:
                 layer.build(shape, generator)
             shape = layer.output_shape(shape)
@@ -329,18 +139,12 @@ class Sequential:
         optimizer="adam",
         metrics: Sequence[str] = ("accuracy",),
         dtype=None,
-        backend=None,
     ) -> "Sequential":
         """Attach loss, optimizer and metrics (Keras-style).
 
         ``dtype`` selects the compute precision (``"float32"`` or
         ``"float64"``); ``None`` keeps the current policy (float64 by
         default).  Already-built parameters are cast in place.
-
-        ``backend`` selects the compute backend — a registered name or a
-        :class:`~repro.nn.backend.Backend` instance; ``None`` resolves
-        the ``REPRO_BACKEND`` environment knob (unset -> ``"numpy"``).
-        The backend is a runtime choice, never persisted with the model.
         """
         self.loss = get_loss(loss)
         self.optimizer = get_optimizer(optimizer)
@@ -348,7 +152,6 @@ class Sequential:
         self._loaded_uncompiled = False
         if dtype is not None:
             self.set_dtype(dtype)
-        self.set_backend(backend)
         return self
 
     def _require_compiled(self, action: str, optimizer: bool = True) -> None:
@@ -357,20 +160,6 @@ class Sequential:
             return
         what = "loaded model" if self._loaded_uncompiled else "model"
         raise TrainingError(f"compile the {what} before {action}")
-
-    def set_backend(self, backend=None) -> "Sequential":
-        """Route the whole stack's compute through ``backend``.
-
-        Accepts a registered name or a :class:`~repro.nn.backend.Backend`
-        instance; ``None`` re-resolves the ``REPRO_BACKEND`` knob.  The
-        loss and every layer (current and future builds) follow along.
-        """
-        self.backend = get_backend(backend)
-        for layer in self.layers:
-            layer.set_backend(self.backend)
-        if self.loss is not None:
-            self.loss.set_backend(self.backend)
-        return self
 
     def set_dtype(self, dtype) -> "Sequential":
         """Switch the model's compute dtype, casting built parameters."""
@@ -518,19 +307,11 @@ class Sequential:
         rng=None,
         callbacks: Sequence[Callback] = (),
         verbose: bool = False,
-        data_parallel: Optional[int] = None,
     ) -> History:
         """Train with shuffled mini-batches; returns the epoch history.
 
         ``y`` may be integer class labels (converted to one-hot against
         the model's output width) or an already-encoded target matrix.
-
-        ``data_parallel=N`` trains each batch as fixed-size gradient
-        shards spread over ``N`` replica threads with a deterministic
-        tree reduction — the result is bit-identical for every ``N``
-        (see :class:`_DataParallel`).  ``None`` resolves the
-        ``REPRO_DATA_PARALLEL`` knob; unset means the plain
-        single-threaded step, byte-for-byte the historical path.
         """
         self._require_compiled("fitting")
         if epochs <= 0:
@@ -558,13 +339,6 @@ class Sequential:
             x, y = x[:cut], y[:cut]
 
         fused = self._fused_softmax_cce()
-        if data_parallel is None:
-            data_parallel = data_parallel_from_env()
-        dp = (
-            _DataParallel(self, int(data_parallel))
-            if data_parallel is not None
-            else None
-        )
         history = History()
         n = x.shape[0]
         # Epoch telemetry flows through the structured logger: with
@@ -580,7 +354,7 @@ class Sequential:
         if obs_profile.enabled():
             self._profiler = obs_profile.LayerProfiler()
         try:
-            with self.backend.thread_domain("train"), \
+            with blas.thread_domain("train"), \
                     span("train.fit", epochs=epochs, batch_size=batch_size,
                          samples=n):
                 for epoch in range(epochs):
@@ -595,14 +369,9 @@ class Sequential:
                         for begin in range(0, n, batch_size):
                             idx = order[begin:begin + batch_size]
                             xb, yb = x[idx], y[idx]
-                            if dp is not None:
-                                loss_value, pred = dp.step(
-                                    xb, yb, generator
-                                )
-                            else:
-                                loss_value, pred = self._train_step(
-                                    xb, yb, fused, rng=generator
-                                )
+                            loss_value, pred = self._train_step(
+                                xb, yb, fused, rng=generator
+                            )
                             epoch_loss += loss_value * len(idx)
                             correct += (
                                 pred.argmax(axis=1) == yb.argmax(axis=1)
@@ -644,8 +413,6 @@ class Sequential:
                     if stop:
                         break
         finally:
-            if dp is not None:
-                dp.close()
             profiler, self._profiler = self._profiler, None
         if profiler is not None:
             self.last_profile = profiler.stats()
@@ -683,6 +450,8 @@ class Sequential:
         Chunk outputs are written straight into one preallocated result
         array, so no per-chunk list or final ``np.concatenate`` copy.
         """
+        if batch_size <= 0:
+            raise TrainingError(f"batch size must be positive, got {batch_size}")
         x = np.asarray(x, dtype=self.dtype)
         shape = x.shape[1:]
         for layer in self.layers:
@@ -775,20 +544,29 @@ class Sequential:
 
     @classmethod
     def load(cls, path: str) -> "Sequential":
-        """Rebuild a model saved with :meth:`save`."""
-        with np.load(path) as data:
-            config = json.loads(bytes(data["config"]).decode())
-            model = cls(
-                [
-                    _layer_class(entry["class"])(**entry["config"])
-                    for entry in config["layers"]
-                ]
-            )
-            model.dtype = np.dtype(config.get("dtype", "float64"))
-            model.build(config["input_shape"], rng=0)
-            for i, layer in enumerate(model.layers):
-                for j in range(len(layer.params)):
-                    layer.params[j][...] = data[f"layer{i}_param{j}"]
+        """Rebuild a model saved with :meth:`save`.
+
+        A torn archive, unparsable config or missing parameter array
+        raises :class:`LayerError`; a missing file stays
+        ``FileNotFoundError``.
+        """
+        try:
+            with np.load(path) as data:
+                config = json.loads(bytes(data["config"]).decode())
+                model = cls(
+                    [
+                        _layer_class(entry["class"])(**entry["config"])
+                        for entry in config["layers"]
+                    ]
+                )
+                model.dtype = np.dtype(config.get("dtype", "float64"))
+                model.build(config["input_shape"], rng=0)
+                for i, layer in enumerate(model.layers):
+                    for j in range(len(layer.params)):
+                        layer.params[j][...] = data[f"layer{i}_param{j}"]
+        except (zipfile.BadZipFile, EOFError, KeyError, TypeError,
+                ValueError) as exc:
+            raise LayerError(f"corrupt model file {path!r}: {exc!r}") from None
         compile_config = config.get("compile")
         if compile_config is not None:
             model.compile(

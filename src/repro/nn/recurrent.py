@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.errors import LayerError
 from repro.nn.initializers import get_initializer
-from repro.nn.layers import Layer, scratch_buffer, scratch_zeros
+from repro.nn.layers import Layer, _sigmoid, scratch_buffer, scratch_zeros
 
 
 class LSTM(Layer):
@@ -108,7 +108,7 @@ class LSTM(Layer):
             )
             np.copyto(xT, xv)
         xp = scratch_buffer(self._scratch, "xp", (steps, n, 4 * self.units), x.dtype)
-        self.backend.matmul(
+        np.matmul(
             xT.reshape(steps * n, features),
             kernel,
             out=xp.reshape(steps * n, 4 * self.units),
@@ -153,12 +153,15 @@ class LSTM(Layer):
             if t == 0:
                 np.add(xp[0], bias, out=z)
             else:
-                self.backend.matmul(hs[t - 1], recurrent, out=z)
+                np.matmul(hs[t - 1], recurrent, out=z)
                 np.add(xp[t], z, out=z)
                 np.add(z, bias, out=z)
             # Gate activations, strided column reads but contiguous
             # gate-major writes (and in-place from there on).
-            self.backend.lstm_gates(z, g_t, u)
+            _sigmoid(z[:, :u], g_t[0])
+            _sigmoid(z[:, u:2 * u], g_t[1])
+            np.tanh(z[:, 2 * u:3 * u], out=g_t[2])
+            _sigmoid(z[:, 3 * u:], g_t[3])
             # c = f * c_prev + i * g
             np.multiply(g_t[1], c_prev, out=c_t)
             np.multiply(g_t[0], g_t[2], out=ig)
@@ -258,28 +261,26 @@ class LSTM(Layer):
                 # dc_next = dc * f; dh_next = dz_t @ U.T — not needed on
                 # the last (t == 0) iteration.
                 np.multiply(dc, f, out=dc_next)
-                self.backend.matmul(dz_t, rec_T, out=dh_next)
+                np.matmul(dz_t, rec_T, out=dh_next)
 
         # Weight gradients as single stacked matmuls over all timesteps,
         # written into the persistent self.grads buffers.  h_-1 is zero,
         # so the recurrent-kernel gradient needs only steps 1..T-1.
         dz2 = dz_all.reshape(steps * n, 4 * u)
-        self.backend.matmul(
-            xT.reshape(steps * n, features).T, dz2, out=self.grads[0]
-        )
+        np.matmul(xT.reshape(steps * n, features).T, dz2, out=self.grads[0])
         if steps > 1:
-            self.backend.matmul(
+            np.matmul(
                 hs[:-1].reshape((steps - 1) * n, u).T,
                 dz_all[1:].reshape((steps - 1) * n, 4 * u),
                 out=self.grads[1],
             )
         else:
             self.grads[1][...] = 0.0
-        self.backend.colsum(dz2, out=self.grads[2])
+        dz2.sum(axis=0, out=self.grads[2])
         if self.skip_input_grad:
             return None
         x_grad = np.empty((steps, n, features), dtype=dtype)
-        self.backend.matmul(dz2, kernel.T, out=x_grad.reshape(steps * n, features))
+        np.matmul(dz2, kernel.T, out=x_grad.reshape(steps * n, features))
         return x_grad.transpose(1, 0, 2)
 
     def output_shape(self, input_shape):

@@ -29,38 +29,17 @@ merge tests pin.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.errors import ReproError
 from repro.obs.context import obs_dir
 from repro.obs.metrics import _format_labels, _format_number, _NAME_RE
+from repro.utils.atomic import atomic_write
 
 #: Merged artefact names, written at the run-dir root.
 TRACE_MERGED = "trace_merged.json"
 METRICS_MERGED = "metrics_merged.prom"
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Same-directory temp file + ``os.replace`` (readers never see a
-    truncated file).  Local copy: :mod:`repro.jobs` imports the obs
-    layer, so the obs layer cannot import it back."""
-    path = Path(path)
-    handle, tmp = tempfile.mkstemp(
-        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            stream.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 # -- reading the per-process sinks ------------------------------------------
@@ -164,7 +143,7 @@ def merge_chrome_trace(run_dir, out_path=None) -> Tuple[Path, Dict]:
     run_dir = Path(run_dir)
     trace = merged_chrome_trace(read_span_files(run_dir))
     path = Path(out_path) if out_path is not None else run_dir / TRACE_MERGED
-    atomic_write_text(path, json.dumps(trace, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(trace, sort_keys=True) + "\n")
     return path, trace
 
 
@@ -261,7 +240,7 @@ def merge_metrics(run_dir, out_path=None) -> Tuple[Path, List[dict]]:
     run_dir = Path(run_dir)
     series = _merge_series(read_metric_dumps(run_dir))
     path = Path(out_path) if out_path is not None else run_dir / METRICS_MERGED
-    atomic_write_text(path, render_prometheus(series))
+    atomic_write(path, render_prometheus(series))
     return path, series
 
 
@@ -277,7 +256,7 @@ def merge_run(run_dir) -> Dict:
     spans = read_span_files(run_dir)
     trace = merged_chrome_trace(spans)
     trace_path = run_dir / TRACE_MERGED
-    atomic_write_text(trace_path, json.dumps(trace, sort_keys=True) + "\n")
+    atomic_write(trace_path, json.dumps(trace, sort_keys=True) + "\n")
     metrics_path, series = merge_metrics(run_dir)
     processes = sorted(
         {

@@ -137,7 +137,7 @@ def _flush(ctx: RunContext, role: str, spans: List[dict], registry) -> None:
     the metrics dump is cumulative, so it is atomically *replaced* on
     every flush — the last write is the process's complete registry.
     """
-    from repro.obs.agg import atomic_write_text
+    from repro.utils.atomic import atomic_write
 
     sink = obs_dir(ctx.run_dir)
     sink.mkdir(parents=True, exist_ok=True)
@@ -155,7 +155,7 @@ def _flush(ctx: RunContext, role: str, spans: List[dict], registry) -> None:
         dump["pid"] = pid
         dump["role"] = role
         dump["run_id"] = ctx.run_id
-        atomic_write_text(
+        atomic_write(
             sink / f"{role}-{pid}.metrics.json",
             json.dumps(dump, sort_keys=True) + "\n",
         )

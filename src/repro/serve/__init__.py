@@ -35,7 +35,7 @@ Quickstart::
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.engine import MicroBatchEngine
 from repro.serve.http import ServeServer, ServeService, create_server
-from repro.serve.metrics import ServeMetrics, percentile
+from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import ModelRecord, ModelRegistry, model_digest
 from repro.serve.sessions import OnlineSession, SessionStore
 
@@ -52,5 +52,4 @@ __all__ = [
     "SessionStore",
     "create_server",
     "model_digest",
-    "percentile",
 ]

@@ -19,7 +19,6 @@ percentiles always reflect recent behaviour.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 import time
@@ -27,7 +26,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServeError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, quantile
 
 #: Rolling (status, latency) window for SLO evaluation: big enough for a
 #: stable p99, small enough that a recovered server stops reporting a
@@ -44,26 +43,15 @@ DEFAULT_SLO_MIN_SAMPLES = 20
 BATCH_SIZE_BUCKETS = tuple(1 << i for i in range(21))
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of ``values`` (``q`` in [0, 100])."""
-    if not values:
-        raise ServeError("cannot take a percentile of no samples")
-    if not 0.0 <= q <= 100.0:
-        raise ServeError(f"percentile must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return float(ordered[rank - 1])
-
-
 def _latency_summary(window: Sequence[float]) -> Optional[Dict[str, float]]:
     if not window:
         return None
     values = list(window)
     return {
         "mean_ms": 1e3 * sum(values) / len(values),
-        "p50_ms": 1e3 * percentile(values, 50.0),
-        "p95_ms": 1e3 * percentile(values, 95.0),
-        "p99_ms": 1e3 * percentile(values, 99.0),
+        "p50_ms": 1e3 * quantile(values, 50.0),
+        "p95_ms": 1e3 * quantile(values, 95.0),
+        "p99_ms": 1e3 * quantile(values, 99.0),
         "max_ms": 1e3 * max(values),
     }
 
@@ -294,7 +282,7 @@ class SloPolicy:
             return verdict
         errors = sum(1 for status, _ in window if status >= 500)
         error_rate = errors / samples
-        p99_ms = 1e3 * percentile([lat for _, lat in window], 99.0)
+        p99_ms = 1e3 * quantile([lat for _, lat in window], 99.0)
         breaches = []
         if error_rate > self.error_rate:
             breaches.append("error_rate")

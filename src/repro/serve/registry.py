@@ -36,9 +36,10 @@ import numpy as np
 
 from repro.core.cache import scenario_fingerprint
 from repro.core.statistics import decision_threshold
-from repro.errors import RegistryError
+from repro.errors import LayerError, RegistryError
 from repro.nn.model import Sequential
 from repro.nn.quant import QUANT_FORMAT_VERSION, QuantizedSequential
+from repro.utils.atomic import atomic_write
 
 #: Bump when the manifest layout changes incompatibly.
 MANIFEST_VERSION = 1
@@ -177,19 +178,6 @@ class ModelRegistry:
     def _pins_path(self) -> str:
         return os.path.join(self.root, "pins.json")
 
-    def _write_atomic(self, path: str, payload: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     # -- registration ------------------------------------------------------
 
     def register(
@@ -271,7 +259,7 @@ class ModelRegistry:
             except OSError:
                 pass
             raise
-        self._write_atomic(
+        atomic_write(
             self._manifest_path(model_id),
             (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
         )
@@ -363,7 +351,7 @@ class ModelRegistry:
             except OSError:
                 pass
             raise
-        self._write_atomic(
+        atomic_write(
             self._manifest_path(model_id),
             (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
         )
@@ -463,6 +451,10 @@ class ModelRegistry:
                 f"manifest for {record.model_id!r} exists but its weights "
                 f"file is missing"
             ) from None
+        except LayerError as exc:
+            raise RegistryError(
+                f"weights file for {record.model_id!r} is unreadable: {exc}"
+            ) from None
         return model, record
 
     # -- pins --------------------------------------------------------------
@@ -481,7 +473,7 @@ class ModelRegistry:
         self.get(model_id)  # must exist
         pins = self._read_pins()
         pins[name] = model_id
-        self._write_atomic(
+        atomic_write(
             self._pins_path, (json.dumps(pins, indent=2, sort_keys=True) + "\n").encode()
         )
 
@@ -491,7 +483,7 @@ class ModelRegistry:
         if name not in pins:
             raise RegistryError(f"no pin for name {name!r}")
         del pins[name]
-        self._write_atomic(
+        atomic_write(
             self._pins_path, (json.dumps(pins, indent=2, sort_keys=True) + "\n").encode()
         )
 

@@ -83,8 +83,6 @@ class TestCommittedBaselines:
                 "grid_bare_16cells",
                 "queue_run_16cells",
                 "queue_replay_16cells",
-                "fit_data_parallel_1",
-                "fit_data_parallel_2",
             },
         }[suite]
         assert expected <= names

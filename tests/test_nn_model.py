@@ -156,6 +156,16 @@ class TestInference:
         with pytest.raises(TrainingError):
             make_model().build((4,), rng).evaluate(x, y)
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_nonpositive_predict_batch_rejected(self, rng, batch_size):
+        x, y = make_blob_data(rng, n=16)
+        model = make_model().build((4,), rng).compile()
+        for call in (model.predict, model.predict_proba, model.predict_classes):
+            with pytest.raises(TrainingError, match="batch size"):
+                call(x, batch_size=batch_size)
+        with pytest.raises(TrainingError, match="batch size"):
+            model.evaluate(x, y, batch_size=batch_size)
+
 
 class TestPredictProba:
     def test_softmax_model_proba_is_predict(self, rng):
@@ -204,6 +214,26 @@ class TestPersistence:
     def test_unknown_layer_class(self):
         with pytest.raises(LayerError):
             _layer_class("NotALayer")
+
+    def test_corrupt_file_raises_layer_error(self, rng, tmp_path):
+        model = make_model().build((4,), rng).compile()
+        path = os.path.join(tmp_path, "model.npz")
+        model.save(path)
+        intact = open(path, "rb").read()
+        with open(path, "wb") as handle:
+            handle.write(intact[: len(intact) // 2])
+        with pytest.raises(LayerError, match="corrupt model file"):
+            load_model(path)
+        # Well-formed archives with a bad config or a missing parameter.
+        np.savez(path, config=np.frombuffer(b"{not json", dtype=np.uint8))
+        with pytest.raises(LayerError, match="corrupt model file"):
+            load_model(path)
+        model.save(path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files if key != "layer0_param1"}
+        np.savez(path, **arrays)
+        with pytest.raises(LayerError, match="corrupt model file"):
+            load_model(path)
 
 
 #: Every persistable layer family: (stack factory, input shape).

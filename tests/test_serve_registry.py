@@ -152,3 +152,11 @@ class TestLoadedModel:
         y = np.zeros(16, dtype=np.int64)
         loss, metrics = loaded.evaluate(x, y)  # would raise if uncompiled
         assert "accuracy" in metrics
+
+    def test_truncated_weights_raise_registry_error(self, rng, tmp_path):
+        registry = ModelRegistry(str(tmp_path))
+        record = registry.register(make_model(rng), "m")
+        with open(record.model_path, "r+b") as handle:
+            handle.truncate(handle.seek(0, 2) // 2)
+        with pytest.raises(RegistryError, match="unreadable"):
+            registry.load(record.model_id)
