@@ -50,11 +50,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import TrainingError
+from repro.errors import LayerError, TrainingError
 from repro.nn.backend import qkernel
 from repro.nn.conv import Conv1D
 from repro.nn.layers import Dense
@@ -282,6 +283,27 @@ class QuantizedSequential:
                 params.append(q.astype(np.float32) * np.float32(scale))
         return params
 
+    def _check_arrays(self) -> None:
+        """Raise :class:`LayerError` unless every parameter the
+        architecture needs is stored, with its shape."""
+        reference = Sequential(
+            [
+                _layer_class(entry["class"])(**entry["config"])
+                for entry in self.config["layers"]
+            ]
+        ).build(self.input_shape, rng=0)
+        for index, layer in enumerate(reference.layers):
+            stored = [
+                (plain if plain is not None else q).shape
+                for _slot, plain, q, _scale in self._layer_arrays(index)
+            ]
+            expected = [param.shape for param in layer.params]
+            if stored != expected:
+                raise LayerError(
+                    f"layer {index} ({layer.name}) stores parameters of "
+                    f"shapes {stored}; the architecture needs {expected}"
+                )
+
     def _build_exec(self) -> Sequential:
         layers = []
         for index, entry in enumerate(self.config["layers"]):
@@ -367,21 +389,36 @@ class QuantizedSequential:
 
     @classmethod
     def load(cls, path: str) -> "QuantizedSequential":
-        """Rebuild a variant saved with :meth:`save`."""
-        with np.load(path) as data:
-            config = json.loads(bytes(data["config"]).decode())
+        """Rebuild a variant saved with :meth:`save`.
+
+        The contract of :meth:`Sequential.load`: a torn archive, an
+        unparsable config or a missing or misshapen array raises
+        :class:`LayerError`; a missing file stays ``FileNotFoundError``.
+        """
+        try:
+            with np.load(path) as data:
+                config = json.loads(bytes(data["config"]).decode())
+                arrays = {
+                    key: np.array(data[key])
+                    for key in data.files
+                    if key != "config"
+                }
+            if not isinstance(config, dict):
+                raise ValueError("config is not a JSON object")
             scheme = config.pop("quant_scheme", None)
             config.pop("quant_format_version", None)
             if scheme is None:
                 raise TrainingError(
                     f"{path!r} is not a quantized model artifact"
                 )
-            arrays = {
-                key: np.array(data[key])
-                for key in data.files
-                if key != "config"
-            }
-        return cls(config, arrays, scheme)
+            model = cls(config, arrays, scheme)
+            model._check_arrays()
+        except (zipfile.BadZipFile, EOFError, KeyError, TypeError,
+                ValueError) as exc:
+            raise LayerError(
+                f"corrupt quantized model file {path!r}: {exc!r}"
+            ) from None
+        return model
 
     def digest(self) -> str:
         """SHA-256 content address over scheme, config, and array bytes."""

@@ -1,8 +1,9 @@
 """Live sweep dashboard: watch a run directory while the run is running.
 
 ``python -m repro.obs.dashboard --run-dir DIR`` serves a small
-auto-refreshing HTML page (stdlib ``ThreadingHTTPServer``, no assets,
-no dependencies) summarising whatever the directory holds *right now*:
+auto-refreshing HTML page (the stdlib server of :mod:`repro.utils.http`,
+no assets, no dependencies) summarising whatever the directory holds
+*right now*:
 
 * per-cell status / attempts / durations from the job queue;
 * throughput (done cells per minute) and an ETA — median completed-cell
@@ -34,13 +35,13 @@ import json
 import statistics
 import sys
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.experiments import report as run_report
 from repro.obs import events as obs_events
+from repro.utils.http import HttpError, HttpServer, JsonHandler
 
 DEFAULT_INTERVAL_S = 2.0
 
@@ -307,78 +308,41 @@ def render_watch(data: Dict) -> str:
 # -- HTTP serving ------------------------------------------------------------
 
 
-class _DashboardHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        del format, args
-
-    def _send(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
+class _DashboardHandler(JsonHandler):
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        # The dashboard must not die on a request: errors answer as JSON.
+        self.respond(self._get)
+
+    def _get(self) -> None:
         server = self.server  # type: ignore[assignment]
         parts = urlsplit(self.path)
-        try:
-            if parts.path in ("/", "/index.html"):
-                page = render_dashboard_html(
-                    collect_dashboard(server.run_dir), server.interval_s
-                )
-                self._send(200, page.encode(), "text/html; charset=utf-8")
-            elif parts.path == "/api/status":
-                payload = json.dumps(
-                    collect_dashboard(server.run_dir), default=str
-                )
-                self._send(200, payload.encode(), "application/json")
-            elif parts.path == "/api/events":
-                query = parse_qs(parts.query)
-                try:
-                    limit = int(query.get("n", ["50"])[-1])
-                except ValueError:
-                    limit = 50
-                payload = json.dumps(
-                    {"events": obs_events.read_events(
-                        server.run_dir, limit=max(limit, 0)
-                    )},
-                    default=str,
-                )
-                self._send(200, payload.encode(), "application/json")
-            else:
-                self._send(
-                    404,
-                    json.dumps(
-                        {"error": f"unknown path {self.path!r}"}
-                    ).encode(),
-                    "application/json",
-                )
-        except Exception as exc:  # the dashboard must not die on a request
-            self._send(
-                500,
-                json.dumps({"error": f"internal error: {exc}"}).encode(),
-                "application/json",
+        if parts.path in ("/", "/index.html"):
+            page = render_dashboard_html(
+                collect_dashboard(server.run_dir), server.interval_s
             )
+            self.send_text(200, page, "text/html; charset=utf-8")
+        elif parts.path == "/api/status":
+            self.send_json(200, collect_dashboard(server.run_dir))
+        elif parts.path == "/api/events":
+            query = parse_qs(parts.query)
+            try:
+                limit = int(query.get("n", ["50"])[-1])
+            except ValueError:
+                limit = 50
+            events = obs_events.read_events(server.run_dir, limit=max(limit, 0))
+            self.send_json(200, {"events": events})
+        else:
+            raise HttpError(404, f"unknown path {self.path!r}")
 
 
-class DashboardServer(ThreadingHTTPServer):
+class DashboardServer(HttpServer):
     """HTTP server bound to one run directory (``port=0`` = ephemeral)."""
-
-    daemon_threads = True
-    allow_reuse_address = True
 
     def __init__(self, run_dir, host: str = "127.0.0.1", port: int = 0,
                  interval_s: float = DEFAULT_INTERVAL_S):
         super().__init__((host, port), _DashboardHandler)
         self.run_dir = Path(run_dir)
         self.interval_s = float(interval_s)
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -189,6 +189,10 @@ class MicroBatchEngine:
             )
         if features.shape[0] == 0:
             raise ServeError("request must contain at least one row")
+        if not np.isfinite(features).all():
+            raise ServeError(
+                f"request features must be finite as {features.dtype}"
+            )
         request = _Request(features=features)
         if timeout_s is not None:
             if timeout_s <= 0:

@@ -22,19 +22,21 @@ Endpoints (all JSON in / JSON out):
   return the running accuracy, progress, and — once the budget is met —
   the CIPHER/RANDOM verdict.
 
-Error mapping: 400 for malformed requests, 404 for unknown models or
-sessions, 503 with ``Retry-After`` when the engine sheds load, 504 when
-a request times out in the queue.  The server is a stdlib
-``ThreadingHTTPServer``; :meth:`ServeServer.stop` performs a graceful
-shutdown (stop accepting, drain the engines, join the serving thread).
+Error mapping: 400 for malformed requests (including non-finite
+features, a non-numeric ``timeout_s`` and labels that are not class
+indices), 404 for unknown models or sessions, 503 with ``Retry-After``
+when the engine sheds load, 504 when a request times out in the queue.
+The server and handler build on :mod:`repro.utils.http`;
+:meth:`ServeServer.stop` performs a graceful shutdown (stop accepting,
+join the serving thread, drain the engines).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -53,6 +55,7 @@ from repro.serve.engine import MicroBatchEngine
 from repro.serve.metrics import ServeMetrics, SloPolicy
 from repro.serve.registry import ModelRecord, ModelRegistry
 from repro.serve.sessions import SessionStore
+from repro.utils.http import HttpError, HttpServer, JsonHandler
 
 _log = obs_log.get_logger("repro.serve")
 
@@ -65,14 +68,6 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 KNOWN_ROUTES = frozenset(
     ("/healthz", "/v1/models", "/v1/metrics", "/v1/classify", "/v1/distinguish")
 )
-
-
-class _HttpError(Exception):
-    """Internal: carries an HTTP status + message to the handler."""
-
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
 
 
 class ServeService:
@@ -101,7 +96,7 @@ class ServeService:
         try:
             record = self.registry.resolve(ref)
         except RegistryError as exc:
-            raise _HttpError(404, str(exc)) from None
+            raise HttpError(404, str(exc)) from None
         with self._lock:
             engine = self._engines.get(record.model_id)
             if engine is None:
@@ -168,35 +163,55 @@ class ServeService:
     def _parse_features(body: dict) -> np.ndarray:
         features = body.get("features")
         if features is None:
-            raise _HttpError(400, "request body needs a 'features' array")
+            raise HttpError(400, "request body needs a 'features' array")
         try:
             array = np.asarray(features, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise _HttpError(400, f"malformed 'features': {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise HttpError(400, f"malformed 'features': {exc}") from None
         if array.ndim == 1:
             array = array[None, :]
         if array.ndim != 2 or array.shape[0] == 0:
-            raise _HttpError(
+            raise HttpError(
                 400, f"'features' must be a non-empty 2-D array, got shape "
                 f"{array.shape}"
             )
         return array
 
+    @staticmethod
+    def _parse_timeout(body: dict) -> Optional[float]:
+        timeout_s = body.get("timeout_s")
+        if timeout_s is None:
+            return None
+        if isinstance(timeout_s, (int, float)) and not isinstance(timeout_s, bool):
+            try:
+                value = float(timeout_s)
+            except OverflowError:
+                value = math.inf
+            if 0.0 < value < math.inf:
+                return value
+        raise HttpError(
+            400, "'timeout_s' must be a positive, finite number of seconds"
+        )
+
     def _classify_rows(self, body: dict) -> Tuple[np.ndarray, ModelRecord]:
         ref = body.get("model")
         if not ref:
-            raise _HttpError(400, "request body needs a 'model' id or name")
+            raise HttpError(400, "request body needs a 'model' id or name")
         engine, record = self.engine_for(str(ref))
         features = self._parse_features(body)
-        timeout_s = body.get("timeout_s")
+        timeout_s = self._parse_timeout(body)
         try:
             probabilities = engine.classify(features, timeout_s=timeout_s)
         except EngineOverloaded as exc:
-            raise _HttpError(503, str(exc)) from None
+            raise HttpError(503, str(exc), (("Retry-After", "1"),)) from None
         except ServeTimeout as exc:
-            raise _HttpError(504, str(exc)) from None
+            raise HttpError(504, str(exc)) from None
         except ServeError as exc:
-            raise _HttpError(400, str(exc)) from None
+            raise HttpError(400, str(exc)) from None
+        if not np.isfinite(probabilities).all():
+            raise HttpError(
+                400, "'features' overflow the model: its outputs are not finite"
+            )
         return probabilities, record
 
     def classify(self, body: dict) -> dict:
@@ -213,37 +228,37 @@ class ServeService:
             try:
                 session = self.sessions.get(str(session_id))
             except ServeError as exc:
-                raise _HttpError(404, str(exc)) from None
+                raise HttpError(404, str(exc)) from None
         else:
             session = self._create_session(body)
         if body.get("features") is None:
             return session.state()
         labels = body.get("labels")
         if labels is None:
-            raise _HttpError(
+            raise HttpError(
                 400, "distinguish updates need 'labels' (the δ-class of "
                 "each query row)"
             )
         probabilities, _ = self._classify_rows(body)
         predicted = probabilities.argmax(axis=1)
         try:
-            return session.update(predicted, np.asarray(labels))
+            return session.update(predicted, labels)
         except ServeError as exc:
-            raise _HttpError(400, str(exc)) from None
+            raise HttpError(400, str(exc)) from None
 
     def _create_session(self, body: dict):
         ref = body.get("model")
         if not ref:
-            raise _HttpError(400, "request body needs a 'model' id or name")
+            raise HttpError(400, "request body needs a 'model' id or name")
         try:
             record = self.registry.resolve(str(ref))
         except RegistryError as exc:
-            raise _HttpError(404, str(exc)) from None
+            raise HttpError(404, str(exc)) from None
         training = record.manifest.get("training")
         training_accuracy = body.get("training_accuracy")
         if training_accuracy is None:
             if not training:
-                raise _HttpError(
+                raise HttpError(
                     400,
                     f"model {record.model_id!r} has no training manifest; "
                     "pass 'training_accuracy' explicitly",
@@ -258,64 +273,53 @@ class ServeService:
                 error_probability=float(body.get("error_probability", 0.01)),
                 threshold=body.get("threshold"),
             )
-        except (ReproError, TypeError, ValueError) as exc:
-            raise _HttpError(400, str(exc)) from None
+        except (ReproError, TypeError, ValueError, OverflowError) as exc:
+            raise HttpError(400, str(exc)) from None
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-
+class _Handler(JsonHandler):
     @property
     def service(self) -> ServeService:
         return self.server.service  # type: ignore[attr-defined]
 
-    # Silence the default per-request stderr logging.
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        del format, args
-
-    def _send_json(self, status: int, payload: dict, headers=()) -> None:
-        self._send_bytes(
-            status, json.dumps(payload).encode(), "application/json", headers
-        )
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        self._send_bytes(status, text.encode(), content_type, ())
-
-    def _send_bytes(self, status, body, content_type, headers) -> None:
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise _HttpError(400, "POST body must be non-empty JSON")
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length > MAX_BODY_BYTES or length < 0:
+            # The body stays unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
         if length > MAX_BODY_BYTES:
-            raise _HttpError(
+            raise HttpError(
                 413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES} cap"
             )
+        if length <= 0:
+            raise HttpError(400, "POST body must be non-empty JSON")
         raw = self.rfile.read(length)
         try:
             body = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise _HttpError(400, f"invalid JSON body: {exc}") from None
+        except (ValueError, RecursionError) as exc:
+            raise HttpError(400, f"invalid JSON body: {exc}") from None
         if not isinstance(body, dict):
-            raise _HttpError(400, "JSON body must be an object")
+            raise HttpError(400, "JSON body must be an object")
         return body
 
-    def _record(self, method: str, route: str, started: float) -> None:
+    def send_bytes(self, status, body, content_type, headers=()) -> None:
+        # Record first: once a client holds its answer, the request is
+        # already in the metrics it reads next.
+        self._record(status)
+        super().send_bytes(status, body, content_type, headers)
+
+    def _record(self, status: int) -> None:
         """Per-route request counter + latency histogram (obs registry)."""
-        latency_s = time.perf_counter() - started
-        status = getattr(self, "_status", 500)
+        latency_s = time.perf_counter() - self._started
+        route = self._route
         registry = self.service.metrics.registry
         registry.counter(
             "repro_http_requests_total",
-            method=method,
+            method=self.command,
             route=route,
             status=str(status),
         ).inc()
@@ -327,76 +331,54 @@ class _Handler(BaseHTTPRequestHandler):
             # window it is reporting on.
             self.service.metrics.record_http(status, latency_s)
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        started = time.perf_counter()
+    def _handle(self, route_fn) -> None:
+        self._started = time.perf_counter()
         parts = urlsplit(self.path)
-        route = parts.path if parts.path in KNOWN_ROUTES else "other"
-        try:
-            if parts.path == "/healthz":
-                query = parse_qs(parts.query)
-                verbose = query.get("verbose", ["0"])[-1] in (
-                    "1", "true", "yes"
-                )
-                self._send_json(200, self.service.healthz(verbose=verbose))
-            elif parts.path == "/v1/models":
-                self._send_json(200, self.service.list_models())
-            elif parts.path == "/v1/metrics":
-                query = parse_qs(parts.query)
-                wire_format = query.get("format", ["json"])[-1]
-                if wire_format == "prometheus":
-                    self._send_text(
-                        200,
-                        self.service.metrics.registry.to_prometheus(),
-                        "text/plain; version=0.0.4; charset=utf-8",
-                    )
-                elif wire_format == "json":
-                    self._send_json(200, self.service.metrics.snapshot())
-                else:
-                    self._send_json(
-                        400,
-                        {"error": f"unknown metrics format {wire_format!r}; "
-                         "expected 'json' or 'prometheus'"},
-                    )
-            else:
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
-        except _HttpError as exc:
-            self._send_json(exc.status, {"error": str(exc)})
-        except Exception as exc:  # never leak a stack trace as a hang
-            self._send_json(500, {"error": f"internal error: {exc}"})
-        finally:
-            self._record("GET", route, started)
+        self._route = parts.path if parts.path in KNOWN_ROUTES else "other"
+        self.respond(route_fn, parts)
+
+    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        self._handle(self._get)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        started = time.perf_counter()
-        parts = urlsplit(self.path)
-        route = parts.path if parts.path in KNOWN_ROUTES else "other"
-        try:
-            body = self._read_body()
-            if parts.path == "/v1/classify":
-                self._send_json(200, self.service.classify(body))
-            elif parts.path == "/v1/distinguish":
-                self._send_json(200, self.service.distinguish(body))
+        self._handle(self._post)
+
+    def _get(self, parts) -> None:
+        query = parse_qs(parts.query)
+        if parts.path == "/healthz":
+            verbose = query.get("verbose", ["0"])[-1] in ("1", "true", "yes")
+            self.send_json(200, self.service.healthz(verbose=verbose))
+        elif parts.path == "/v1/models":
+            self.send_json(200, self.service.list_models())
+        elif parts.path == "/v1/metrics":
+            wire_format = query.get("format", ["json"])[-1]
+            if wire_format == "prometheus":
+                self.send_text(
+                    200,
+                    self.service.metrics.registry.to_prometheus(),
+                    "text/plain; version=0.0.4; charset=utf-8",
+                )
+            elif wire_format == "json":
+                self.send_json(200, self.service.metrics.snapshot())
             else:
-                self._send_json(404, {"error": f"unknown path {self.path!r}"})
-        except _HttpError as exc:
-            headers = (("Retry-After", "1"),) if exc.status == 503 else ()
-            self._send_json(exc.status, {"error": str(exc)}, headers)
-        except Exception as exc:
-            self._send_json(500, {"error": f"internal error: {exc}"})
-        finally:
-            self._record("POST", route, started)
+                raise HttpError(
+                    400, f"unknown metrics format {wire_format!r}; "
+                    "expected 'json' or 'prometheus'"
+                )
+        else:
+            raise HttpError(404, f"unknown path {self.path!r}")
+
+    def _post(self, parts) -> None:
+        body = self._read_body()
+        if parts.path == "/v1/classify":
+            self.send_json(200, self.service.classify(body))
+        elif parts.path == "/v1/distinguish":
+            self.send_json(200, self.service.distinguish(body))
+        else:
+            raise HttpError(404, f"unknown path {self.path!r}")
 
 
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, service: ServeService):
-        super().__init__(address, _Handler)
-        self.service = service
-
-
-class ServeServer:
+class ServeServer(HttpServer):
     """A running HTTP serving endpoint with graceful shutdown.
 
     ``port=0`` binds an ephemeral loopback port (the resolved address is
@@ -421,43 +403,17 @@ class ServeServer:
             max_queue=max_queue,
             metrics=metrics,
         )
-        self._server = _Server((host, port), self.service)
-        self._thread: Optional[threading.Thread] = None
+        super().__init__((host, port), _Handler)
 
     @property
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)``."""
-        return self._server.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "ServeServer":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                name="repro-serve-http",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
+        return self.server_address[:2]
 
     def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain engines, join."""
-        if self._thread is not None:
-            self._server.shutdown()
-            self._thread.join()
-            self._thread = None
-        self._server.server_close()
+        """Graceful shutdown: stop accepting, join, drain engines."""
+        super().stop()
         self.service.stop()
-
-    def __enter__(self) -> "ServeServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 def create_server(registry_root: str, host: str = "127.0.0.1", port: int = 0, **kwargs) -> ServeServer:

@@ -78,15 +78,26 @@ class OnlineSession:
 
     # -- feeding -----------------------------------------------------------
 
-    def update(self, predicted: np.ndarray, labels: np.ndarray) -> dict:
+    def update(self, predicted: np.ndarray, labels) -> dict:
         """Fold one batch of ``(predicted class, true class)`` pairs in.
 
         Returns the state dict of :meth:`state` after the update.  The
         "true" labels are the attacker's own bookkeeping — they know
-        which input difference ``δ_i`` each query used.
+        which input difference ``δ_i`` each query used.  They must be a
+        flat sequence of integer class indices in ``[0, num_classes)``,
+        one per prediction; anything else raises :class:`ServeError`
+        rather than being folded in as a miss.
         """
         predicted = np.asarray(predicted).ravel()
-        labels = np.asarray(labels).ravel()
+        try:
+            labels = np.asarray(labels)
+        except (TypeError, ValueError) as exc:  # ragged nesting
+            raise ServeError(f"malformed labels: {exc}") from None
+        if labels.ndim != 1 or labels.dtype.kind not in "iuf":
+            raise ServeError(
+                "labels must be a flat list of class indices, got a "
+                f"{labels.ndim}-D array of {labels.dtype}"
+            )
         if predicted.shape != labels.shape:
             raise ServeError(
                 f"predicted has {predicted.shape[0]} entries but labels has "
@@ -94,6 +105,13 @@ class OnlineSession:
             )
         if predicted.size == 0:
             raise ServeError("cannot update a session with an empty batch")
+        # NaN fails the first test, ±inf the second.
+        if (labels != np.trunc(labels)).any() or (
+            (labels < 0) | (labels >= self.num_classes)
+        ).any():
+            raise ServeError(
+                f"labels must be integers in [0, {self.num_classes})"
+            )
         correct = int((predicted == labels).sum())
         with self._lock:
             self._correct += correct

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import TrainingError
+from repro.errors import LayerError, TrainingError
 from repro.nn import (
     Conv1D,
     Dense,
@@ -286,6 +286,33 @@ class TestRoundtrip:
         make_model(rng).save(path)
         assert not is_quantized_artifact(path)
         with pytest.raises(TrainingError, match="quantized"):
+            QuantizedSequential.load(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncate", "bad_config", "drop_weight", "drop_bias", "bad_shape"],
+    )
+    def test_torn_artifact_raises_layer_error(self, rng, tmp_path, damage):
+        path = str(tmp_path / "variant.npz")
+        quantize_model(make_model(rng), "int8", min_weight_elems=0).save(path)
+        if damage == "truncate":
+            with open(path, "r+b") as handle:
+                handle.truncate(handle.seek(0, 2) // 2)
+        else:
+            with np.load(path) as data:
+                arrays = {key: np.array(data[key]) for key in data.files}
+            if damage == "bad_config":
+                arrays["config"] = np.frombuffer(b"{not json", dtype=np.uint8)
+            elif damage == "drop_weight":
+                # Without the check the layer would load randomly
+                # initialised: a silent wrong answer.
+                del arrays["layer0_param0_q"], arrays["layer0_param0_scale"]
+            elif damage == "drop_bias":
+                del arrays["layer2_param1"]
+            else:
+                arrays["layer2_param0_q"] = arrays["layer2_param0_q"][:1]
+            np.savez(path, **arrays)
+        with pytest.raises(LayerError):
             QuantizedSequential.load(path)
 
 

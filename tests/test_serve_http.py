@@ -1,7 +1,12 @@
 """Tests for the HTTP serving endpoint, client, and the end-to-end game."""
 
+import json
+from http.client import HTTPConnection
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import GimliHashScenario, MLDistinguisher
 from repro.core.statistics import required_online_samples
@@ -340,3 +345,177 @@ class TestEndToEndGame:
                 )
         assert verdicts["gimli-hash-r5"] == ("CIPHER", "RANDOM")
         assert verdicts["gimli-hash-r5-int8"] == verdicts["gimli-hash-r5"]
+
+
+# -- request validation and fuzzing ------------------------------------------
+
+#: Arbitrary JSON values: scalars (non-finite floats included, as
+#: ``json.loads`` accepts ``NaN``/``Infinity``), lists and objects.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=10,
+)
+FEATURE_ROWS = st.lists(
+    st.lists(st.floats() | st.integers(0, 1), min_size=6, max_size=6),
+    min_size=1, max_size=3,
+)
+SESSION = "s00000001"  # the first session a fresh server mints
+
+#: Malformed bodies that must answer 400.  Unvalidated, they produce a
+#: 500, a 200 carrying ``NaN`` tokens, or a silently wrong session update.
+BAD_CLASSIFY = {
+    "timeout_not_a_number": {"model": "unit", "features": [[0] * 6],
+                             "timeout_s": "x"},
+    "timeout_overflows": {"model": "unit", "features": [[0] * 6],
+                          "timeout_s": 10 ** 400},
+    "nan_features": {"model": "unit", "features": [[float("nan")] * 6]},
+    "inf_features": {"model": "unit", "features": [[float("inf")] + [0] * 5]},
+    "huge_int_features": {"model": "unit", "features": [[10 ** 400] * 6]},
+}
+BAD_LABELS = {
+    "strings": ["a", "b"],
+    "out_of_range": [7, 9],
+    "nested": [[0], [1]],
+    "ragged": [[0], [1, 0]],
+    "fractional": [0.5, 1],
+    "negative": [-1, 0],
+    "nan": [float("nan"), 0],
+    "booleans": [True, False],
+    "too_few": [0],
+}
+
+
+def _post_raw(url, path, raw: bytes):
+    """``(status, body)`` of one POST on a fresh connection.
+
+    A dropped connection raises (``RemoteDisconnected``) instead of
+    returning, so the property below also pins "never drops".
+    """
+    host, port = url.removeprefix("http://").split(":")
+    connection = HTTPConnection(host, int(port), timeout=10)
+    try:
+        connection.request(
+            "POST", path, body=raw, headers={"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+def _strict_json(payload: bytes):
+    def reject(token):
+        raise AssertionError(f"response carries non-JSON token {token}")
+
+    return json.loads(payload, parse_constant=reject)
+
+
+def _check_answer(status, payload, body=None):
+    """A 4xx with a JSON error, or a success in strict JSON — never a 500.
+
+    504 is the documented answer to a positive ``timeout_s`` the queue
+    could not meet, so it is allowed only when the body set one.
+    """
+    document = _strict_json(payload)
+    if status >= 400:
+        assert status < 500 or (
+            status == 504 and isinstance(body, dict) and "timeout_s" in body
+        ), (status, document)
+        assert isinstance(document.get("error"), str)
+    else:
+        assert status == 200, status
+
+
+@pytest.fixture(scope="module")
+def fuzz_server(tmp_path_factory):
+    """One server for every example, with one open session."""
+    registry = ModelRegistry(str(tmp_path_factory.mktemp("fuzz")))
+    registry.register(
+        make_model(np.random.default_rng(0)),
+        "unit",
+        report={"validation_accuracy": 0.8, "training_accuracy": 0.8,
+                "num_samples": 100, "num_classes": 2},
+    )
+    with ServeServer(registry, max_wait_ms=0.0) as server:
+        state = ServeClient(server.url).open_session("unit", target_samples=10 ** 9)
+        assert state["session"] == SESSION
+        yield server.url
+
+
+class TestRequestValidation:
+    @pytest.mark.parametrize("case", sorted(BAD_CLASSIFY))
+    def test_bad_classify_body_400(self, fuzz_server, case):
+        raw = json.dumps(BAD_CLASSIFY[case]).encode()
+        status, payload = _post_raw(fuzz_server, "/v1/classify", raw)
+        assert status == 400, payload
+        assert "error" in _strict_json(payload)
+
+    @pytest.mark.parametrize("case", sorted(BAD_LABELS))
+    def test_bad_labels_400_and_session_untouched(self, fuzz_server, case):
+        client = ServeClient(fuzz_server)
+        before = client._request("POST", "/v1/distinguish", {"session": SESSION})
+        body = {"model": "unit", "session": SESSION,
+                "features": [[0] * 6, [1] * 6], "labels": BAD_LABELS[case]}
+        status, payload = _post_raw(
+            fuzz_server, "/v1/distinguish", json.dumps(body).encode()
+        )
+        assert status == 400, payload
+        after = client._request("POST", "/v1/distinguish", {"session": SESSION})
+        assert after["samples"] == before["samples"]
+
+    def test_valid_float_labels_accepted(self, fuzz_server):
+        body = {"model": "unit", "session": SESSION,
+                "features": [[0] * 6, [1] * 6], "labels": [0.0, 1]}
+        status, payload = _post_raw(
+            fuzz_server, "/v1/distinguish", json.dumps(body).encode()
+        )
+        assert status == 200, payload
+
+
+_FIELDS = {
+    "model": JSON_VALUES | st.just("unit"),
+    "features": JSON_VALUES | FEATURE_ROWS,
+    "labels": JSON_VALUES | st.lists(st.integers(-1, 2), max_size=3),
+    "session": JSON_VALUES | st.just(SESSION),
+    "timeout_s": JSON_VALUES,
+}
+FUZZ_BODIES = st.fixed_dictionaries({}, optional=_FIELDS)
+
+
+class TestFuzzPostRoutes:
+    @settings(max_examples=200, deadline=None)
+    @given(body=FUZZ_BODIES, path=st.sampled_from(["/v1/classify", "/v1/distinguish"]))
+    @example(body=BAD_CLASSIFY["timeout_not_a_number"], path="/v1/classify")
+    @example(body=BAD_CLASSIFY["nan_features"], path="/v1/classify")
+    @example(body={"model": "unit", "session": SESSION,
+                   "features": [[0] * 6, [1] * 6], "labels": ["a", "b"]},
+             path="/v1/distinguish")
+    @example(body={"model": "unit", "session": SESSION,
+                   "features": [[0] * 6, [1] * 6], "labels": [7, 9]},
+             path="/v1/distinguish")
+    @example(body={"model": "unit", "session": SESSION,
+                   "features": [[0] * 6, [1] * 6], "labels": [[0], [1]]},
+             path="/v1/distinguish")
+    def test_object_bodies_never_500(self, fuzz_server, body, path):
+        status, payload = _post_raw(fuzz_server, path, json.dumps(body).encode())
+        _check_answer(status, payload, body)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        raw=st.binary(min_size=1, max_size=64)
+        | JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(
+            lambda v: json.dumps(v).encode()
+        ),
+        path=st.sampled_from(["/v1/classify", "/v1/distinguish"]),
+    )
+    @example(raw=b"[" * 100_000, path="/v1/classify")
+    @example(raw=b'"\xff"', path="/v1/distinguish")
+    def test_non_object_bodies_400(self, fuzz_server, raw, path):
+        status, payload = _post_raw(fuzz_server, path, raw)
+        if raw.strip().startswith(b"{"):  # random bytes may still parse
+            _check_answer(status, payload)
+        else:
+            assert status == 400, payload
+            assert isinstance(_strict_json(payload).get("error"), str)

@@ -7,7 +7,7 @@ import pytest
 
 from repro import GimliHashScenario
 from repro.errors import RegistryError
-from repro.nn import Dense, ReLU, Sequential, Softmax
+from repro.nn import Dense, ReLU, Sequential, Softmax, quantize_model
 from repro.serve import ModelRegistry, model_digest
 
 
@@ -156,6 +156,18 @@ class TestLoadedModel:
     def test_truncated_weights_raise_registry_error(self, rng, tmp_path):
         registry = ModelRegistry(str(tmp_path))
         record = registry.register(make_model(rng), "m")
+        with open(record.model_path, "r+b") as handle:
+            handle.truncate(handle.seek(0, 2) // 2)
+        with pytest.raises(RegistryError, match="unreadable"):
+            registry.load(record.model_id)
+
+    def test_truncated_int8_weights_raise_registry_error(self, rng, tmp_path):
+        registry = ModelRegistry(str(tmp_path))
+        model = make_model(rng)
+        registry.register(model, "m")
+        record = registry.register_quantized(
+            quantize_model(model, "int8", min_weight_elems=0), "m"
+        )
         with open(record.model_path, "r+b") as handle:
             handle.truncate(handle.seek(0, 2) // 2)
         with pytest.raises(RegistryError, match="unreadable"):
