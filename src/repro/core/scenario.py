@@ -91,7 +91,14 @@ class DifferentialScenario(abc.ABC):
 
     @abc.abstractmethod
     def pipeline(self, inputs: np.ndarray, context: Optional[np.ndarray]) -> np.ndarray:
-        """The real (round-reduced) primitive, batched."""
+        """The real (round-reduced) primitive, batched.
+
+        Contract: row-independent.  Output row ``i`` depends only on
+        ``inputs[i]`` and ``context[i]``, never on the batch size or on
+        other rows, so stacking batches (as the bias oracle of
+        :mod:`repro.search.oracle` does) gives the same rows as calling
+        on each batch alone.
+        """
 
     def apply_difference(self, inputs: np.ndarray, class_index: int) -> np.ndarray:
         """``P ⊕ δ_i`` for every row of ``inputs``."""

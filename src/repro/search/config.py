@@ -54,7 +54,8 @@ from repro.core.scenario import (
     GimliPermutationScenario,
     ToySpeckScenario,
 )
-from repro.errors import SearchError
+from repro.errors import CipherError, SearchError
+from repro.search.oracle import as_difference_words
 
 
 @dataclass(frozen=True)
@@ -296,6 +297,14 @@ _TRAIN_KEYS = {
 }
 
 
+def _section(raw: dict, key: str) -> dict:
+    """``raw[key]`` as a dict (absent or empty means ``{}``)."""
+    section = raw.get(key) or {}
+    if not isinstance(section, dict):
+        raise SearchError(f"{key!r} must be a dict, got {type(section).__name__}")
+    return dict(section)
+
+
 @dataclass
 class ScenarioSpec:
     """A validated declarative scenario config."""
@@ -327,7 +336,7 @@ class ScenarioSpec:
             if key not in raw:
                 raise SearchError(f"scenario config is missing {key!r}")
         builder = get_scenario_builder(str(raw["scenario"]))
-        params = dict(raw.get("params") or {})
+        params = _section(raw, "params")
         differences = raw.get("differences")
         search = raw.get("search")
         if differences is None and search is None:
@@ -344,27 +353,33 @@ class ScenarioSpec:
                     f"unknown search keys {sorted(unknown)}; "
                     f"known: {sorted(_SEARCH_KEYS)}"
                 )
-        train = dict(raw.get("train") or {})
+        train = _section(raw, "train")
         unknown = set(train) - _TRAIN_KEYS
         if unknown:
             raise SearchError(
                 f"unknown train keys {sorted(unknown)}; known: {sorted(_TRAIN_KEYS)}"
             )
-        register = dict(raw.get("register") or {})
+        register = _section(raw, "register")
         if differences is not None:
+            # The probe masks carry the family's word dtype and width.
             try:
-                differences = np.asarray(differences, dtype=np.uint64)
-            except (TypeError, ValueError, OverflowError):
+                probe = builder.probe(**params)
+            except TypeError as exc:
                 raise SearchError(
-                    "'differences' must be a (t, input_words) list of "
-                    "non-negative word values"
+                    f"bad params for scenario {builder.name!r}: {exc}"
                 ) from None
-            if differences.ndim != 2:
+            differences = as_difference_words(
+                differences, 8 * probe.dtype.itemsize
+            )
+            if differences.ndim != 2 or differences.shape[1] != probe.shape[1]:
                 raise SearchError(
-                    f"'differences' must be 2-D (t, input_words), got shape "
-                    f"{differences.shape}"
+                    f"'differences' must be 2-D (t, {probe.shape[1]}), got "
+                    f"shape {differences.shape}"
                 )
-        num_differences = int(raw.get("num_differences", 2))
+        try:
+            num_differences = int(raw.get("num_differences", 2))
+        except (TypeError, ValueError, OverflowError):
+            raise SearchError("num_differences must be an integer") from None
         if num_differences < 2:
             raise SearchError(
                 f"num_differences must be >= 2, got {num_differences}"
@@ -394,18 +409,19 @@ class ScenarioSpec:
 
     def build_scenario(self, masks) -> DifferentialScenario:
         """Instantiate the scenario with an explicit difference set."""
-        try:
-            return self.builder.build(masks, **self.params)
-        except TypeError as exc:
-            raise SearchError(
-                f"bad params for scenario {self.scenario!r}: {exc}"
-            ) from None
+        return self._construct(self.builder.build, masks)
 
     def prototype(self) -> DifferentialScenario:
         """The oracle-sampling prototype for this spec."""
+        return self._construct(self.builder.prototype)
+
+    def _construct(self, make, *args) -> DifferentialScenario:
+        # ``params`` come from JSON, so a builder may fail on a bad name,
+        # type or value in any of these ways before the scenario's own
+        # DistinguisherError checks run.
         try:
-            return self.builder.prototype(**self.params)
-        except TypeError as exc:
+            return make(*args, **self.params)
+        except (TypeError, ValueError, OverflowError, CipherError) as exc:
             raise SearchError(
                 f"bad params for scenario {self.scenario!r}: {exc}"
             ) from None

@@ -27,15 +27,29 @@ n_samples, shard_size, δ)``:
 * every shard's inputs come from its own spawned
   :class:`~numpy.random.SeedSequence` child, so the bank does not
   depend on how many workers computed it;
-* per-shard bit counts are exact ``int64`` sums, reduced in shard
+* per-shard bit counts are exact integer sums, reduced in shard
   order — addition of integers is associative, so the total (and the
   score) is bit-identical for every ``workers`` value;
 * scores are memoised per candidate, so re-scoring survivors across
   evolutionary generations is a dictionary hit.
 
-Scoring ``k`` candidates costs ``k + 1`` batched pipeline calls per
-shard (the base ciphertexts are computed once and shared), which on the
-toy ciphers is well under a millisecond per candidate.
+Blocked scoring
+---------------
+
+A shard holds only :data:`DEFAULT_SHARD_SIZE` rows, below the batch
+size at which the numpy cipher kernels run efficiently (the Gimli
+kernel costs about twice as much per row at 1024 rows as at 8192).  So
+a shard scores its candidates in blocks of ``block = BLOCK_ROWS //
+shard_n``: the block's inputs ``P ⊕ δ`` are stacked into one
+``(block · shard_n, input_words)`` array, the per-sample context is
+tiled to match, and one pipeline call and one bit expansion serve the
+whole block.  Scoring ``k`` candidates therefore costs
+``ceil(k / block) + 1`` pipeline calls per shard (the ``+ 1`` is the
+base ciphertexts, computed once and shared).  This relies on the
+row-independence contract of
+:meth:`~repro.core.scenario.DifferentialScenario.pipeline`: a stacked
+row is computed exactly as it would be alone, so the counts — and every
+score — are the same as one call per candidate.
 """
 
 from __future__ import annotations
@@ -49,6 +63,7 @@ from repro.errors import SearchError
 from repro.obs import log as obs_log
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
+from repro.utils.bitops import word_dtype
 from repro.utils.encoding import words_to_bits
 
 _log = obs_log.get_logger("repro.search")
@@ -62,24 +77,82 @@ DEFAULT_SAMPLES = 2048
 DEFAULT_SHARD_SIZE = 1024
 
 
+def as_difference_words(values, word_width: int) -> np.ndarray:
+    """``values`` as an array of unsigned ``word_width``-bit words.
+
+    A plain cast would silently turn some values into other differences
+    (``2**32 + 1`` into ``1`` for 32-bit words, ``1.9`` into ``1``), so
+    every value must be a finite, integral number in
+    ``[0, 2**word_width)``; anything else raises :class:`SearchError`.
+    """
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.dtype.kind not in "iufO":
+        raise SearchError("differences must be a rectangular array of numbers")
+    limit = 1 << word_width
+    if arr.dtype.kind == "O":
+        # Python ints too large for int64, or non-numbers: check each.
+        fits = all(
+            isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)
+            and 0 <= value < limit
+            and value == int(value)
+            for value in arr.flat
+        )
+    else:
+        fits = bool(np.all((arr >= 0) & (arr < limit)))
+        if fits and arr.dtype.kind == "f":
+            fits = bool(np.all(arr == np.floor(arr)))
+    if not fits:
+        raise SearchError(
+            f"differences must be integers in [0, 2**{word_width}) for "
+            f"{word_width}-bit words"
+        )
+    return arr.astype(word_dtype(word_width))
+
+
+#: Rows per stacked pipeline call: a shard scores ``BLOCK_ROWS //
+#: shard_n`` candidates at a time (at least one).  About the batch size
+#: where the numpy cipher kernels stop gaining per row while a block's
+#: bit matrix still fits in cache.  Not part of the determinism
+#: contract: any value gives the same counts.
+BLOCK_ROWS = 8192
+
+
 def _count_shard(job):
     """Per-shard bit counts for a batch of candidates.
 
     ``job`` is ``(prototype, shard_n, seed_child, candidates)``;
     returns an ``(k, feature_bits)`` int64 matrix of ones-counts of the
-    output-difference bits, plus the base-vs-candidate sample count.
-    Module-level so the grid runner can pickle it into pool workers.
+    output-difference bits over the shard's ``shard_n`` samples.
+    Candidates are scored in stacked blocks (see the module docstring).
+    Each block's counts are summed in the narrowest unsigned type that
+    holds ``shard_n`` — a count never exceeds it, so the narrow sum is
+    exact — and then widened.  Module-level so the grid runner can
+    pickle it into pool workers.
     """
     prototype, shard_n, seed_child, candidates = job
     rng = np.random.Generator(np.random.PCG64(seed_child))
     inputs = prototype.sample_base_inputs(shard_n, rng)
     context = prototype.sample_context(shard_n, rng)
     base_out = prototype.pipeline(inputs, context)
-    counts = np.empty((candidates.shape[0], prototype.feature_bits), dtype=np.int64)
-    for row, delta in enumerate(candidates):
-        out = prototype.pipeline(inputs ^ delta.astype(inputs.dtype), context)
-        bits = words_to_bits(base_out ^ out, prototype.word_width)
-        counts[row] = bits.sum(axis=0, dtype=np.int64)
+    deltas = candidates.astype(inputs.dtype)
+    block = max(1, BLOCK_ROWS // shard_n)
+    accumulator = np.min_scalar_type(shard_n)
+    counts = np.empty((deltas.shape[0], prototype.feature_bits), dtype=np.int64)
+    for start in range(0, deltas.shape[0], block):
+        chunk = deltas[start:start + block]
+        m = chunk.shape[0]
+        stacked = (inputs ^ chunk[:, np.newaxis]).reshape(m * shard_n, -1)
+        tiled = None if context is None else np.concatenate([context] * m)
+        out = prototype.pipeline(stacked, tiled)
+        diff = out.reshape(m, shard_n, -1) ^ base_out
+        bits = words_to_bits(diff.reshape(m * shard_n, -1), prototype.word_width)
+        counts[start:start + m] = bits.reshape(m, shard_n, -1).sum(
+            axis=1, dtype=accumulator
+        )
     return counts
 
 
@@ -131,15 +204,13 @@ class BiasScoringOracle:
         return self.prototype.word_width
 
     def _as_candidates(self, candidates) -> np.ndarray:
-        arr = np.asarray(
-            candidates, dtype=self.prototype.difference_masks.dtype
-        )
+        arr = as_difference_words(candidates, self.prototype.word_width)
         if arr.ndim == 1:
             arr = arr[np.newaxis, :]
         if arr.ndim != 2 or arr.shape[1] != self.prototype.input_words:
             raise SearchError(
                 f"candidates must have shape (k, {self.prototype.input_words}), "
-                f"got {np.asarray(candidates).shape}"
+                f"got {arr.shape}"
             )
         if any((row == 0).all() for row in arr):
             raise SearchError("candidate differences must be non-zero")

@@ -7,7 +7,13 @@ import pytest
 
 from repro.errors import SearchError
 from repro.search.config import get_scenario_builder
-from repro.search.oracle import BiasScoringOracle
+from repro.search.oracle import (
+    BLOCK_ROWS,
+    DEFAULT_SHARD_SIZE,
+    BiasScoringOracle,
+    _count_shard,
+)
+from repro.utils.encoding import words_to_bits
 
 
 def _toyspeck_oracle(rounds=3, n_samples=1024, workers=1, rng=0):
@@ -85,6 +91,23 @@ class TestValidation:
         with pytest.raises(SearchError):
             oracle.score(np.array([1, 2, 3], dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "candidates",
+        [[[300, 0]], [[0, 256]], [[1.5, 0]], [[float("nan"), 0]],
+         [[-1, 0]], [[2**70, 0]], [["a", 0]]],
+        ids=["300", "256", "fraction", "nan", "negative", "huge", "string"],
+    )
+    def test_rejects_values_that_are_not_words(self, candidates):
+        # A plain cast raised OverflowError/ValueError for some of these
+        # and silently scored [[1.5, 0]] as [[1, 0]].
+        oracle = _toyspeck_oracle()
+        with pytest.raises(SearchError):
+            oracle.score_batch(candidates)
+
+    def test_accepts_integral_floats(self):
+        oracle = _toyspeck_oracle()
+        assert oracle.score_batch([[0.0, 64.0]])[0] == oracle.score([0, 64])
+
     def test_rejects_live_generator_seed(self):
         builder = get_scenario_builder("toyspeck")
         with pytest.raises(SearchError):
@@ -126,3 +149,131 @@ class TestPaperDifferencesRank:
         floor = oracle.noise_floor()
         assert oracle.score(byte4) > floor
         assert oracle.score(byte12) > floor
+
+
+def _count_shard_per_candidate(job):
+    """The historical shard counter: one pipeline call per candidate."""
+    prototype, shard_n, seed_child, candidates = job
+    rng = np.random.Generator(np.random.PCG64(seed_child))
+    inputs = prototype.sample_base_inputs(shard_n, rng)
+    context = prototype.sample_context(shard_n, rng)
+    base_out = prototype.pipeline(inputs, context)
+    counts = np.empty((candidates.shape[0], prototype.feature_bits), dtype=np.int64)
+    for row, delta in enumerate(candidates):
+        out = prototype.pipeline(inputs ^ delta.astype(inputs.dtype), context)
+        bits = words_to_bits(base_out ^ out, prototype.word_width)
+        counts[row] = bits.sum(axis=0, dtype=np.int64)
+    return counts
+
+
+BLOCK = BLOCK_ROWS // DEFAULT_SHARD_SIZE
+#: One full shard plus a short last one.
+SHORT_TAIL_SAMPLES = DEFAULT_SHARD_SIZE + 300
+
+EQUIVALENCE_FAMILIES = [
+    ("gimli-hash", {"rounds": 3}),
+    ("gimli-cipher", {"total_rounds": 3}),
+    ("gift64", {"rounds": 2}),
+    ("toyspeck", {"rounds": 2}),
+    ("toyspeck-related-key", {"rounds": 2}),
+]
+
+
+def _random_candidates(builder, params, k, seed=0):
+    prototype = builder.prototype(**params)
+    dtype = prototype.difference_masks.dtype
+    allowed = builder.allowed_bits(**params)
+    if allowed is None:
+        allowed = np.full(prototype.input_words, np.iinfo(dtype).max, dtype)
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < k:
+        row = rng.integers(
+            0, np.iinfo(dtype).max, size=prototype.input_words,
+            dtype=dtype, endpoint=True,
+        ) & allowed.astype(dtype)
+        if row.any():
+            rows.append(row)
+    return np.stack(rows)
+
+
+class TestBlockedScoring:
+    """Stacked-block scoring counts exactly what one call per candidate did."""
+
+    @pytest.mark.parametrize(
+        "k", [1, BLOCK - 1, BLOCK + 1, 3 * BLOCK],
+        ids=["one", "below-block", "above-block", "three-blocks"],
+    )
+    @pytest.mark.parametrize(
+        "family,params", EQUIVALENCE_FAMILIES,
+        ids=[name for name, _ in EQUIVALENCE_FAMILIES],
+    )
+    def test_counts_match_per_candidate_loop(self, family, params, k):
+        builder = get_scenario_builder(family)
+        oracle = BiasScoringOracle(
+            builder.prototype(**params), n_samples=SHORT_TAIL_SAMPLES, rng=5
+        )
+        assert oracle._sizes[-1] < DEFAULT_SHARD_SIZE
+        candidates = _random_candidates(builder, params, k)
+        totals = 0
+        for shard_n, child in zip(oracle._sizes, oracle._children):
+            job = (oracle.prototype, shard_n, child, candidates)
+            blocked = _count_shard(job)
+            np.testing.assert_array_equal(
+                blocked, _count_shard_per_candidate(job)
+            )
+            assert blocked.dtype == np.int64
+            totals = totals + blocked
+        profiles = np.stack([oracle.bias_profile(row) for row in candidates])
+        np.testing.assert_array_equal(profiles, totals / SHORT_TAIL_SAMPLES)
+
+    @pytest.mark.parametrize(
+        "family,params", EQUIVALENCE_FAMILIES,
+        ids=[name for name, _ in EQUIVALENCE_FAMILIES],
+    )
+    def test_worker_invariant(self, family, params):
+        builder = get_scenario_builder(family)
+        candidates = _random_candidates(builder, params, 3 * BLOCK, seed=1)
+        scores = [
+            BiasScoringOracle(
+                builder.prototype(**params), n_samples=SHORT_TAIL_SAMPLES,
+                rng=5, workers=workers,
+            ).score_batch(candidates)
+            for workers in (1, 2)
+        ]
+        np.testing.assert_array_equal(scores[0], scores[1])
+
+    def test_shard_larger_than_block(self):
+        # A shard above BLOCK_ROWS still scores one candidate per call.
+        builder = get_scenario_builder("toyspeck")
+        oracle = BiasScoringOracle(
+            builder.prototype(rounds=2), n_samples=BLOCK_ROWS + 100,
+            shard_size=BLOCK_ROWS + 100, rng=5,
+        )
+        candidates = _random_candidates(builder, {"rounds": 2}, 3)
+        job = (oracle.prototype, oracle._sizes[0], oracle._children[0],
+               candidates)
+        np.testing.assert_array_equal(
+            _count_shard(job), _count_shard_per_candidate(job)
+        )
+
+
+class TestPinnedScores:
+    """Exact scores recorded with the per-candidate loop (cross-commit pins)."""
+
+    @pytest.mark.parametrize(
+        "family,params,candidate,expected",
+        [
+            ("gimli-hash", {"rounds": 4}, [0, 1, 0, 0], 0.835575),
+            ("gimli-cipher", {"total_rounds": 4}, [0, 0, 0, 0x80000000],
+             0.7996687499999999),
+            ("gift64", {"rounds": 3}, [0x1, 0], 0.5678000000000001),
+        ],
+        ids=["gimli-hash", "gimli-cipher", "gift64"],
+    )
+    def test_score_is_pinned(self, family, params, candidate, expected):
+        oracle = BiasScoringOracle(
+            get_scenario_builder(family).prototype(**params),
+            n_samples=2500, rng=2021, workers=1,
+        )
+        assert oracle.score(np.array(candidate, dtype=np.uint32)) == expected

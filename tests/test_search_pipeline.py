@@ -6,8 +6,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import SearchError
+from repro.errors import DistinguisherError, SearchError
 from repro.search.config import (
     SCENARIO_BUILDERS,
     ScenarioBuilder,
@@ -108,6 +110,110 @@ class TestScenarioSpec:
             prototype = get_scenario_builder(name).prototype()
             assert prototype.difference_masks.ndim == 2, name
             assert prototype.num_classes >= 2, name
+
+
+#: Differences that a plain cast turned into other differences.
+SILENTLY_CAST = {
+    "gimli-hash-2**32+1": {
+        "scenario": "gimli-hash",
+        "differences": [[0, 2**32 + 1, 0, 0], [0, 0, 0, 1]],
+    },
+    "toyspeck-320": {"scenario": "toyspeck", "differences": [[0, 320], [32, 0]]},
+    "gimli-cipher-1.9": {
+        "scenario": "gimli-cipher",
+        "differences": [[0, 1.9, 0, 0], [0, 0, 0, 1]],
+    },
+}
+
+
+class TestSpecDifferences:
+    @pytest.mark.parametrize("raw", SILENTLY_CAST.values(), ids=SILENTLY_CAST)
+    def test_rejects_values_that_would_change(self, raw):
+        with pytest.raises(SearchError, match="integers in"):
+            ScenarioSpec.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "differences",
+        [[[0, float("nan")], [32, 0]], [[0, -64], [32, 0]],
+         [[0, "0x40"], [32, 0]], [[0, 64], [32]], [[0, 64, 0], [32, 0, 0]]],
+        ids=["nan", "negative", "string", "ragged", "wrong-width"],
+    )
+    def test_rejects_malformed(self, differences):
+        with pytest.raises(SearchError):
+            ScenarioSpec.from_dict(
+                {"scenario": "toyspeck", "differences": differences}
+            )
+
+    def test_keeps_word_dtype(self):
+        spec = ScenarioSpec.from_dict(
+            {"scenario": "gift16", "differences": [[0xFFFF], [1.0]]}
+        )
+        assert spec.differences.dtype == np.uint16
+        assert spec.differences.tolist() == [[0xFFFF], [1]]
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.text(max_size=6)
+)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+_PARAM_NAMES = ["rounds", "total_rounds", "block_len", "warmup",
+                "output_bits", "observe_words"]
+_WORDS = st.lists(
+    st.lists(st.integers(0, 2**33) | _JSON_LEAVES, max_size=17), max_size=4
+)
+
+
+def _section(known):
+    return st.dictionaries(
+        st.sampled_from(known) | st.text(max_size=6), _JSON, max_size=3
+    ) | _JSON
+
+
+_SPECS = st.fixed_dictionaries(
+    {"scenario": st.sampled_from(sorted(SCENARIO_BUILDERS)) | st.text(max_size=6)},
+    optional={
+        "name": _JSON,
+        "params": _section(_PARAM_NAMES),
+        "differences": _WORDS | _JSON,
+        "num_differences": _JSON,
+        "search": _section(["population_size", "generations", "n_samples"]),
+        "train": _section(["num_samples", "epochs", "hidden"]),
+        "register": _JSON,
+    },
+)
+
+
+class TestFuzzScenarioSpec:
+    """Arbitrary JSON configs fail only with the library's own errors."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=_SPECS)
+    @example(raw=SILENTLY_CAST["gimli-hash-2**32+1"])
+    @example(raw=SILENTLY_CAST["toyspeck-320"])
+    @example(raw=SILENTLY_CAST["gimli-cipher-1.9"])
+    @example(raw={"scenario": "toyspeck", "differences": [[64], [32]]})
+    @example(raw={"scenario": "trivium", "params": {"warmup": -1},
+                  "search": {}})
+    @example(raw={"scenario": "gift64", "params": {"rounds": "x"},
+                  "search": {}})
+    def test_builds_or_raises_library_error(self, raw):
+        try:
+            spec = ScenarioSpec.from_dict(raw)
+            if spec.differences is not None:
+                spec.build_scenario(spec.differences)
+            spec.prototype()
+        except (SearchError, DistinguisherError):
+            pass
 
 
 class TestRunSearch:
