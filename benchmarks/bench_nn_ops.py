@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Adam, CategoricalCrossentropy
-from repro.nn.architectures import cnn_i, lstm_i, mlp_iii
+from repro.nn.architectures import cnn_i, lstm_i, mlp_ii, mlp_iii
 from repro.nn.losses import one_hot
 
 BATCH = 256
@@ -82,6 +82,29 @@ def test_seq_train_step_dtype(benchmark, batch, factory, dtype):
     x = x.astype(dtype)
     y = y.astype(dtype)
     benchmark(model.train_on_batch, x, y)
+
+
+@pytest.mark.parametrize(
+    "factory", [mlp_ii, mlp_iii], ids=["MLP II", "MLP III"]
+)
+def test_adam_update(benchmark, factory):
+    """One float32 Adam step over every parameter of the model.
+
+    The step is memory-bound (no GEMM), so this row isolates the
+    compiled one-pass update from the rest of the train step.
+    """
+    model = factory()
+    model.build((INPUT_BITS,), rng=0)
+    model.compile(optimizer=Adam(), dtype="float32")
+    params, _ = model._gather()
+    rng = np.random.default_rng(2)
+    grads = [
+        rng.standard_normal(p.shape).astype(np.float32) * np.float32(1e-3)
+        for p in params
+    ]
+    optimizer = Adam()
+    optimizer.update(params, grads)
+    benchmark(optimizer.update, params, grads)
 
 
 def test_inference_throughput(benchmark, batch):

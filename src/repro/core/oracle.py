@@ -94,14 +94,29 @@ class RandomOracle(Oracle):
         n = inputs.shape[0]
         if not self._memoize:
             return self._draw(n)
-        out = np.empty((n, self.output_words), dtype=self._draw(1).dtype)
-        for row in range(n):
-            key = inputs[row].tobytes()
-            if context is not None:
-                key += np.asarray(context)[row].tobytes()
-            cached = self._memo.get(key)
-            if cached is None:
-                cached = self._draw(1)[0]
-                self._memo[key] = cached
-            out[row] = cached
-        return out
+        # This probe row is never used, but it is part of the seeded
+        # stream: dropping it would change every later answer.
+        dtype = self._draw(1).dtype
+        keys = _row_bytes(inputs)
+        if context is not None:
+            keys = [key + extra for key, extra in
+                    zip(keys, _row_bytes(np.asarray(context)[:n]))]
+        memo = self._memo
+        fresh = [key for key in dict.fromkeys(keys) if key not in memo]
+        if fresh:
+            # One block draw of k rows is the same stream as k one-row
+            # draws, so answers do not depend on how queries are batched.
+            block = self._draw(len(fresh))
+            memo.update(zip(fresh, _row_bytes(block)))
+        out = np.frombuffer(
+            bytearray(b"".join([memo[key] for key in keys])), dtype=dtype
+        )
+        return out.reshape(n, self.output_words)
+
+
+def _row_bytes(array: np.ndarray) -> list:
+    """The bytes of each row of ``array`` (its C-order ``tobytes``)."""
+    raw = np.ascontiguousarray(array).tobytes()
+    rows = array.shape[0]
+    width = len(raw) // rows if rows else 0
+    return [raw[i * width:(i + 1) * width] for i in range(rows)]

@@ -71,16 +71,18 @@ def _compute_manifest() -> Dict:
 
     ``env`` above records what was *requested*; this records what the
     process actually *resolved* — whether the BLAS thread-count symbols
-    were found, and whether the compiled int8 kernel passed its
-    load-time self-test — so two manifests can be compared for
+    were found, and whether the compiled int8 and Adam kernels passed
+    their load-time self-tests — so two manifests can be compared for
     compute-substrate drift, not just knob drift.
     """
     from repro.nn.backend import blas, qkernel
+    from repro.nn.optimizers import adam_kernel_in_use
 
     return {
         "blas_threads_controllable": blas.controllable(),
         "quant_mode": qkernel.quant_mode(),
         "quant_kernel_available": qkernel.available(),
+        "adam_kernel_in_use": adam_kernel_in_use(),
     }
 
 

@@ -4,7 +4,10 @@
   OpenBLAS pool sizes around ``Sequential.fit`` (``"train"``) and the
   serving engine's fused predicts (``"serve"``);
 * :mod:`repro.nn.backend.qkernel` — the compiled int8 inference kernel
-  behind :mod:`repro.nn.quant`.
+  behind :mod:`repro.nn.quant`;
+* :mod:`repro.nn.backend.cbuild` — the one build/cache/load/self-test
+  path for runtime-compiled C kernels, used by ``qkernel`` and by the
+  one-pass Adam step in :mod:`repro.nn.optimizers`.
 
 The layers and losses themselves call numpy directly.
 """

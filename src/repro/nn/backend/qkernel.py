@@ -13,8 +13,8 @@ and has no fast numpy spelling: numpy integer matmul bypasses BLAS and
 runs ~300x slower than sgemm at MLP III sizes, and the quantize /
 dequantize steps cost several full passes over the activations when
 expressed as separate ufuncs.  This module therefore compiles a small C
-kernel at first use with the toolchain already in the image and loads
-it through ctypes:
+kernel at first use and loads it through ctypes
+(:mod:`repro.nn.backend.cbuild`, shared with the fused Adam step):
 
 * on AVX-512 VNNI hardware the kernel quantizes four rows at a time
   into an L1-resident scratch block and feeds them straight into a
@@ -51,26 +51,21 @@ and results never depend on how rows are grouped into batches.
 
 Knobs: ``REPRO_QUANT`` (``auto`` | ``kernel`` | ``numpy``) selects the
 compute path; ``REPRO_QUANT_KERNEL_DIR`` overrides where the shared
-object is cached (default: a ``repro-qkernel`` directory under the
-user cache dir).
+object is cached (see :func:`repro.nn.backend.cbuild.cache_dir`).
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import subprocess
-import tempfile
-import threading
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.errors import TrainingError
+from repro.nn.backend import cbuild
 
 QUANT_ENV_VAR = "REPRO_QUANT"
-KERNEL_DIR_ENV_VAR = "REPRO_QUANT_KERNEL_DIR"
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -337,11 +332,6 @@ void repro_qaffine(const float* x, const int8_t* wp, float wscale,
 #endif
 """
 
-_lock = threading.Lock()
-_loaded = False
-_qaffine = None
-
-
 def quant_mode() -> str:
     """The ``REPRO_QUANT`` knob: ``auto`` (default), ``kernel``, ``numpy``."""
     raw = os.environ.get(QUANT_ENV_VAR, "") or "auto"
@@ -350,53 +340,6 @@ def quant_mode() -> str:
             f"{QUANT_ENV_VAR} must be 'auto', 'kernel' or 'numpy', got {raw!r}"
         )
     return raw
-
-
-def _cache_dir() -> str:
-    override = os.environ.get(KERNEL_DIR_ENV_VAR, "")
-    if override:
-        return override
-    base = os.environ.get("XDG_CACHE_HOME", "") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return os.path.join(base, "repro-qkernel")
-
-
-def _compile() -> Optional[str]:
-    """Compile the kernel into the cache dir; None on any failure."""
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = os.path.join(cache, f"qkernel-{digest}.so")
-    if os.path.exists(so_path):
-        return so_path
-    try:
-        os.makedirs(cache, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp.so")
-        os.close(fd)
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".c", dir=cache, delete=False
-        ) as src:
-            src.write(_C_SOURCE)
-            src_path = src.name
-        try:
-            result = subprocess.run(
-                ["cc", "-O3", "-march=native", "-ffp-contract=off",
-                 "-shared", "-fPIC", "-o", tmp, src_path, "-lm"],
-                capture_output=True,
-                timeout=120,
-            )
-            if result.returncode != 0:
-                return None
-            os.replace(tmp, so_path)
-            return so_path
-        finally:
-            for leftover in (src_path, tmp):
-                try:
-                    os.unlink(leftover)
-                except OSError:
-                    pass
-    except (OSError, subprocess.SubprocessError):
-        return None
 
 
 def _numpy_reference(x, w, wscale, bias_m):
@@ -459,33 +402,25 @@ def _self_test(qaffine_fn) -> bool:
     return bool((got[:, :m] == expected).all())
 
 
+def _bind(lib):
+    qaffine_fn = lib.repro_qaffine
+    qaffine_fn.argtypes = (
+        [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_float]
+        + [ctypes.c_void_p] * 3
+        + [ctypes.c_long] * 4
+    )
+    qaffine_fn.restype = None
+    return qaffine_fn
+
+
+_KERNEL = cbuild.CompiledKernel("qkernel", _C_SOURCE, _bind, _self_test)
+
+
 def _load():
-    """Resolve the kernel entry point once; None when unavailable."""
-    global _loaded, _qaffine
-    with _lock:
-        if _loaded:
-            return _qaffine
-        _loaded = True
-        if quant_mode() == "numpy":
-            return None
-        so_path = _compile()
-        if so_path is None:
-            return None
-        try:
-            lib = ctypes.CDLL(so_path)
-            qaffine_fn = lib.repro_qaffine
-        except (OSError, AttributeError):
-            return None
-        qaffine_fn.argtypes = (
-            [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_float]
-            + [ctypes.c_void_p] * 3
-            + [ctypes.c_long] * 4
-        )
-        qaffine_fn.restype = None
-        if not _self_test(qaffine_fn):
-            return None
-        _qaffine = qaffine_fn
-    return _qaffine
+    """The kernel entry point; None when unavailable or disabled."""
+    if quant_mode() == "numpy":
+        return None
+    return _KERNEL.get()
 
 
 def available() -> bool:

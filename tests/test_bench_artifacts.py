@@ -53,6 +53,8 @@ class TestCommittedBaselines:
                 "test_mlp_iii_train_step_dtype[float32]",
                 "test_mlp_iii_train_step_dtype[float64]",
                 "test_inference_throughput",
+                "test_adam_update[MLP II]",
+                "test_adam_update[MLP III]",
             },
             "ciphers": {"test_gimli_full_rounds", "test_gimli_8_rounds"},
             "serve": {

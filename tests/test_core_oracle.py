@@ -63,3 +63,61 @@ class TestRandomOracle:
             RandomOracle(output_words=0)
         with pytest.raises(DistinguisherError):
             RandomOracle(output_words=2, word_width=12)
+
+
+def _loop_query(oracle, inputs, context=None):
+    """The row-at-a-time memoised query the batched one replaced."""
+    inputs = np.asarray(inputs)
+    n = inputs.shape[0]
+    out = np.empty((n, oracle.output_words), dtype=oracle._draw(1).dtype)
+    for row in range(n):
+        key = inputs[row].tobytes()
+        if context is not None:
+            key += np.asarray(context)[row].tobytes()
+        cached = oracle._memo.get(key)
+        if cached is None:
+            cached = oracle._draw(1)[0]
+            oracle._memo[key] = cached
+        out[row] = cached
+    return out
+
+
+class TestBatchedMemo:
+    """The batched memo answers, and leaves the generator, exactly as
+    the per-row loop does."""
+
+    @pytest.mark.parametrize("word_width", [8, 16, 32, 64])
+    @pytest.mark.parametrize("with_context", [False, True])
+    def test_matches_row_loop(self, word_width, with_context):
+        data = np.random.default_rng(word_width)
+        batched = RandomOracle(output_words=3, word_width=word_width, rng=41)
+        looped = RandomOracle(output_words=3, word_width=word_width, rng=41)
+        # Few distinct values, so rows repeat within a call and across
+        # calls; 1001 rows is odd.
+        for _ in range(3):
+            inputs = data.integers(0, 3, (1001, 2), dtype=np.uint16)
+            context = (data.integers(0, 2, (1001, 1), dtype=np.uint32)
+                       if with_context else None)
+            got = batched.query(inputs, context)
+            want = _loop_query(looped, inputs, context)
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable
+        assert np.array_equal(batched._draw(5), looped._draw(5))
+
+    @pytest.mark.parametrize("word_width", [8, 16, 32, 64])
+    def test_block_draw_is_single_draws(self, word_width):
+        block = RandomOracle(output_words=3, word_width=word_width, rng=9)
+        single = RandomOracle(output_words=3, word_width=word_width, rng=9)
+        rows = np.concatenate([single._draw(1) for _ in range(7)])
+        assert np.array_equal(block._draw(7), rows)
+        assert np.array_equal(block._draw(2), single._draw(2))
+
+    def test_empty_and_zero_width_inputs(self):
+        batched = RandomOracle(output_words=2, rng=3)
+        looped = RandomOracle(output_words=2, rng=3)
+        for inputs in (np.zeros((0, 2), np.uint32), np.zeros((4, 0), np.uint32)):
+            got = batched.query(inputs)
+            assert got.tobytes() == _loop_query(looped, inputs).tobytes()
+            assert got.shape == (inputs.shape[0], 2)

@@ -1,19 +1,29 @@
 """Kernel-equivalence tests for the hot-path rewrites.
 
-The fused softmax+CCE backward, the in-place optimizers and the Dense
-``out=`` backward are pure performance work: each must match its
-reference formulation — the optimizers bit-for-bit (their arithmetic
-order is preserved), the fused gradient to float tolerance (it is
-algebraically identical but rounds differently).
+The fused softmax+CCE backward, the in-place optimizers, the compiled
+Adam step and the Dense ``out=`` backward are pure performance work:
+each must match its reference formulation — the optimizers bit-for-bit
+(their arithmetic order is preserved), the fused gradient to float
+tolerance (it is algebraically identical but rounds differently).  The
+compiled kernels' on-disk cache must survive corruption without
+changing a number.
 """
+
+import os
+import pickle
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.nn import optimizers
+from repro.nn.backend import cbuild, qkernel
 from repro.nn.layers import Dense, Dropout, ReLU, Softmax
 from repro.nn.losses import CategoricalCrossentropy, one_hot
 from repro.nn.model import Sequential
-from repro.nn.optimizers import SGD, Adam
+from repro.nn.optimizers import SGD, Adam, adam_kernel_in_use, adam_step_numpy
+from repro.nn.quant import _Int8Linear, int8_affine, quantize_weight
 
 
 def _toy_batch(seed=0, n=32, features=16, classes=3):
@@ -143,15 +153,189 @@ class TestInPlaceOptimizers:
 
     def test_adam_step_allocates_no_new_state_after_first(self):
         rng = np.random.default_rng(3)
-        params = [rng.normal(size=(8, 8))]
+        params = [rng.normal(size=(64, 64))]
         adam = Adam()
-        adam.update(params, [rng.normal(size=(8, 8))])
-        buffers = [adam._m[0], adam._v[0], adam._num[0], adam._den[0]]
-        adam.update(params, [rng.normal(size=(8, 8))])
+        adam.update(params, [rng.normal(size=(64, 64))])
+        buffers = [adam._m[0], adam._v[0]]
+        grads = [rng.normal(size=(64, 64))]
+        tracemalloc.start()
+        try:
+            adam.update(params, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert adam._m[0] is buffers[0]
         assert adam._v[0] is buffers[1]
-        assert adam._num[0] is buffers[2]
-        assert adam._den[0] is buffers[3]
+        if adam_kernel_in_use():
+            # The compiled step writes into p, m and v only: the step's
+            # peak stays far below one 32 KiB parameter-sized array.
+            assert peak < params[0].nbytes // 4
+
+
+def _gradient_scales(dtype, shape):
+    """One fixed gradient scale per element: unit, zero, subnormal,
+    1e-8 or 1e30.  Mixing scales within an element would hide rounding
+    differences: after one 1e30 gradient an element barely moves."""
+    tiny = np.finfo(dtype).tiny
+    return np.resize([1.0, 1.0, 0.0, tiny / 8, 1e-8, 1e30], shape)
+
+
+def _adam_run(dtype, steps, shapes):
+    """Train ``Adam`` on seeded gradients; return its p, m, v bytes."""
+    rng = np.random.default_rng(17)
+    params = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+    adam = Adam(learning_rate=0.01)
+    with np.errstate(over="ignore"):
+        for _ in range(steps):
+            grads = [
+                (rng.standard_normal(p.shape)
+                 * _gradient_scales(dtype, p.shape)).astype(dtype)
+                for p in params
+            ]
+            adam.update(params, grads)
+    return [a.tobytes() for a in params + list(adam._m.values())
+            + list(adam._v.values())]
+
+
+def _numpy_adam_run(dtype, steps, shapes):
+    """The same run stepped by ``adam_step_numpy`` directly."""
+    rng = np.random.default_rng(17)
+    params = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    with np.errstate(over="ignore"):
+        for step in range(1, steps + 1):
+            grads = [
+                (rng.standard_normal(p.shape)
+                 * _gradient_scales(dtype, p.shape)).astype(dtype)
+                for p in params
+            ]
+            for p, g, m, v in zip(params, grads, ms, vs):
+                adam_step_numpy(p, g, m, v, 0.9, 0.999, 1.0 - 0.9**step,
+                                1.0 - 0.999**step, 0.01, 1e-7)
+    return [a.tobytes() for a in params + ms + vs]
+
+
+# Sizes that are not multiples of any vector width.
+ODD_SHAPES = [(37, 5), (19,), (3, 7, 3)]
+
+
+class TestFusedAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kernel_bit_identical_to_numpy(self, dtype):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        # With a compiler the kernel must build and pass its self-test:
+        # a silent fallback would pass every bit-identity check.
+        assert adam_kernel_in_use()
+        assert _adam_run(dtype, 200, ODD_SHAPES) == _numpy_adam_run(
+            dtype, 200, ODD_SHAPES
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forced_fallback_gives_same_bits(self, dtype, monkeypatch):
+        with_kernel = _adam_run(dtype, 50, ODD_SHAPES)
+        monkeypatch.setattr(optimizers._ADAM_KERNEL, "get", lambda: None)
+        assert not adam_kernel_in_use()
+        assert _adam_run(dtype, 50, ODD_SHAPES) == with_kernel
+
+    def test_mixed_dtypes_take_numpy_path(self):
+        """A float64 gradient on a float32 parameter is not the
+        kernel's case; the numpy spelling handles it unchanged."""
+        rng = np.random.default_rng(4)
+        param = rng.standard_normal((9, 3)).astype(np.float32)
+        twin = param.copy()
+        grad = rng.standard_normal((9, 3))
+        Adam().update([param], [grad])
+        m, v = np.zeros_like(twin), np.zeros_like(twin)
+        adam_step_numpy(twin, grad, m, v, 0.9, 0.999, 1.0 - 0.9, 1.0 - 0.999,
+                        0.001, 1e-7)
+        assert param.tobytes() == twin.tobytes()
+
+    def test_adam_stays_picklable(self):
+        adam = Adam()
+        adam.update([np.ones(5, np.float32)], [np.ones(5, np.float32)])
+        clone = pickle.loads(pickle.dumps(adam))
+        assert clone._step == 1
+        assert np.array_equal(clone._m[0], adam._m[0])
+
+
+def _int8_bits(mode, monkeypatch):
+    rng = np.random.default_rng(8)
+    q, scale = quantize_weight(rng.normal(size=(96, 33)).astype(np.float32))
+    linear = _Int8Linear(q, scale, rng.normal(size=33).astype(np.float32))
+    x = rng.normal(size=(17, 96)).astype(np.float32)
+    monkeypatch.setenv("REPRO_QUANT", mode)
+    return int8_affine(x, linear).tobytes()
+
+
+def _truncate(path):
+    with open(path, "r+b") as handle:
+        handle.truncate(os.path.getsize(path) // 3)
+
+
+def _garble(path):
+    with open(path, "r+b") as handle:
+        handle.write(b"\x00garbage\xff" * 8)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+class TestKernelCacheFaults:
+    """A torn or garbled cached ``.so`` is deleted and rebuilt once;
+    if the rebuild fails too, the numpy spelling takes over.  Either
+    way the numbers do not change."""
+
+    @pytest.fixture
+    def kernels(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cbuild.KERNEL_DIR_ENV_VAR, str(tmp_path))
+        monkeypatch.delenv("REPRO_QUANT", raising=False)
+        pair = (optimizers._ADAM_KERNEL, qkernel._KERNEL)
+        for kernel in pair:
+            monkeypatch.setattr(kernel, "_loaded", False)
+            monkeypatch.setattr(kernel, "_entry", None)
+            # A cached library this process has never loaded.
+            assert cbuild._build(kernel.source, kernel.flags, kernel.so_path())
+        return pair
+
+    def _assert_results_unchanged(self, monkeypatch):
+        for dtype in (np.float32, np.float64):
+            assert _adam_run(dtype, 20, ODD_SHAPES) == _numpy_adam_run(
+                dtype, 20, ODD_SHAPES
+            )
+        assert _int8_bits("auto", monkeypatch) == _int8_bits("numpy", monkeypatch)
+
+    @pytest.mark.parametrize("corrupt", [_truncate, _garble])
+    def test_corrupt_cache_is_rebuilt(self, kernels, corrupt, monkeypatch):
+        for kernel in kernels:
+            corrupt(kernel.so_path())
+        for kernel in kernels:
+            assert kernel.get() is not None
+            assert os.path.exists(kernel.so_path())
+        self._assert_results_unchanged(monkeypatch)
+
+    def test_self_test_failure_rebuilds_once(self, kernels, monkeypatch):
+        kernel = kernels[0]
+        verdicts = iter([False, True])
+        calls = []
+
+        def flaky(entry):
+            calls.append(entry)
+            return next(verdicts)
+
+        monkeypatch.setattr(kernel, "_self_test", flaky)
+        assert kernel.get() is not None
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("corrupt", [_truncate, _garble])
+    def test_unrebuildable_cache_falls_back(self, kernels, corrupt, monkeypatch):
+        monkeypatch.setattr(cbuild, "_build", lambda *args: False)
+        for kernel in kernels:
+            corrupt(kernel.so_path())
+            assert kernel.get() is None
+            assert not os.path.exists(kernel.so_path())
+        assert not adam_kernel_in_use()
+        assert not qkernel.available()
+        self._assert_results_unchanged(monkeypatch)
 
 
 class TestDenseOutBackward:

@@ -168,6 +168,16 @@ class TestManifest:
         assert manifest["run_id"]
         assert manifest["obs"]["trace_file"] == "trace_merged.json"
         assert manifest["duration_s"] > 0.0
+        from repro.nn.backend import qkernel
+        from repro.nn.optimizers import adam_kernel_in_use
+
+        assert manifest["compute"] == {
+            "blas_threads_controllable": manifest["compute"][
+                "blas_threads_controllable"],
+            "quant_mode": qkernel.quant_mode(),
+            "quant_kernel_available": qkernel.available(),
+            "adam_kernel_in_use": adam_kernel_in_use(),
+        }
         names = [s["name"] for s in manifest["spans"]]
         assert "experiment.complexity" in names
         result_path = manifest_path.parent / manifest["result_file"]
@@ -175,6 +185,14 @@ class TestManifest:
         assert saved["experiment"] == result["experiment"]
         # Tracing was only on for the duration of the call.
         assert not trace.is_enabled()
+
+
+    def test_compute_manifest_names_the_numpy_adam_path(self, monkeypatch):
+        from repro.experiments.manifest import _compute_manifest
+        from repro.nn import optimizers
+
+        monkeypatch.setattr(optimizers._ADAM_KERNEL, "get", lambda: None)
+        assert _compute_manifest()["adam_kernel_in_use"] is False
 
 
 class TestBitIdenticalTraining:
