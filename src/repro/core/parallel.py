@@ -27,7 +27,6 @@ and run in-process otherwise.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import statistics
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -40,6 +39,7 @@ from repro.obs import context as obs_context
 from repro.obs import events as obs_events
 from repro.obs import log as obs_log
 from repro.obs.trace import span
+from repro.utils.env import env_number
 from repro.utils.rng import RngLike
 
 _log = obs_log.get_logger("repro.parallel")
@@ -59,33 +59,14 @@ MIN_STALL_SAMPLES = 3
 
 def stall_factor_from_env() -> float:
     """``REPRO_OBS_STALL_FACTOR`` (default 4.0; values <= 0 disable)."""
-    raw = os.environ.get("REPRO_OBS_STALL_FACTOR", "")
-    if not raw:
-        return DEFAULT_STALL_FACTOR
-    try:
-        return float(raw)
-    except ValueError:
-        raise DistinguisherError(
-            f"REPRO_OBS_STALL_FACTOR must be a float, got {raw!r}"
-        ) from None
+    return env_number("REPRO_OBS_STALL_FACTOR", DEFAULT_STALL_FACTOR, float,
+                      error=DistinguisherError)
 
 
 def stall_poll_from_env() -> float:
     """``REPRO_OBS_STALL_POLL_S`` (default 1.0 s; must be positive)."""
-    raw = os.environ.get("REPRO_OBS_STALL_POLL_S", "")
-    if not raw:
-        return DEFAULT_STALL_POLL_S
-    try:
-        value = float(raw)
-    except ValueError:
-        raise DistinguisherError(
-            f"REPRO_OBS_STALL_POLL_S must be a float, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise DistinguisherError(
-            f"REPRO_OBS_STALL_POLL_S must be positive, got {value}"
-        )
-    return value
+    return env_number("REPRO_OBS_STALL_POLL_S", DEFAULT_STALL_POLL_S, float,
+                      error=DistinguisherError, above=0)
 
 
 def _context_task(fn: Callable) -> Callable:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ExperimentError
+from repro.utils.env import env_number
 
 #: The paper's offline sample count (§4: "we generate 2^17.6 samples").
 PAPER_OFFLINE_SAMPLES = int(round(2.0**17.6))
@@ -56,38 +57,13 @@ DEFAULT_SCALE = 0.05
 
 def get_scale() -> float:
     """Read ``REPRO_SCALE`` from the environment (default 0.05)."""
-    raw = os.environ.get("REPRO_SCALE", "")
-    if not raw:
-        return DEFAULT_SCALE
-    try:
-        scale = float(raw)
-    except ValueError:
-        raise ExperimentError(
-            f"REPRO_SCALE must be a float in (0, 1], got {raw!r}"
-        ) from None
-    if not 0.0 < scale <= 1.0:
-        raise ExperimentError(
-            f"REPRO_SCALE must be in (0, 1], got {scale}"
-        )
-    return scale
+    return env_number("REPRO_SCALE", DEFAULT_SCALE, float,
+                      error=ExperimentError, above=0, maximum=1)
 
 
 def get_workers() -> Optional[int]:
     """Read ``REPRO_WORKERS`` (unset -> ``None``: single-stream path)."""
-    raw = os.environ.get("REPRO_WORKERS", "")
-    if not raw:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ExperimentError(
-            f"REPRO_WORKERS must be a positive integer, got {raw!r}"
-        ) from None
-    if workers < 1:
-        raise ExperimentError(
-            f"REPRO_WORKERS must be a positive integer, got {workers}"
-        )
-    return workers
+    return env_number("REPRO_WORKERS", None, error=ExperimentError, minimum=1)
 
 
 def get_dataset_cache():

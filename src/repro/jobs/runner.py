@@ -35,7 +35,6 @@ recompute from the same pinned per-cell seed material.
 
 from __future__ import annotations
 
-import os
 import time
 import traceback
 from typing import Callable, Dict, List, Optional, Sequence
@@ -46,49 +45,12 @@ from repro.jobs.queue import DONE, FAILED, PENDING, JobQueue
 from repro.obs import events as obs_events
 from repro.obs import log as obs_log
 from repro.obs.trace import span
+from repro.utils.env import env_number
 
 _log = obs_log.get_logger("repro.jobs")
 
 DEFAULT_MAX_ATTEMPTS = 2
 DEFAULT_BACKOFF_S = 0.05
-
-
-def _env_int(name: str, default: Optional[int]) -> Optional[int]:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise JobError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise JobError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def max_attempts_from_env() -> int:
-    """``REPRO_JOBS_RETRIES`` (attempts per job; default 2)."""
-    return _env_int("REPRO_JOBS_RETRIES", DEFAULT_MAX_ATTEMPTS)
-
-
-def backoff_from_env() -> float:
-    raw = os.environ.get("REPRO_JOBS_BACKOFF", "")
-    if not raw:
-        return DEFAULT_BACKOFF_S
-    try:
-        value = float(raw)
-    except ValueError:
-        raise JobError(
-            f"REPRO_JOBS_BACKOFF must be a float, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise JobError(f"REPRO_JOBS_BACKOFF must be >= 0, got {value}")
-    return value
-
-
-def max_cells_from_env() -> Optional[int]:
-    """``REPRO_JOBS_MAX_CELLS`` (cap per invocation; default unlimited)."""
-    return _env_int("REPRO_JOBS_MAX_CELLS", None)
 
 
 def _attempt_job(args):
@@ -148,11 +110,23 @@ class JobRunner:
     ):
         self.queue = queue
         self.workers = workers
-        self.max_attempts = (
-            max_attempts if max_attempts is not None else max_attempts_from_env()
-        )
-        self.backoff_s = backoff_s if backoff_s is not None else backoff_from_env()
-        self.max_jobs = max_jobs if max_jobs is not None else max_cells_from_env()
+        if max_attempts is None:
+            max_attempts = env_number(
+                "REPRO_JOBS_RETRIES", DEFAULT_MAX_ATTEMPTS, error=JobError,
+                minimum=1,
+            )
+        if backoff_s is None:
+            backoff_s = env_number(
+                "REPRO_JOBS_BACKOFF", DEFAULT_BACKOFF_S, float, error=JobError,
+                minimum=0,
+            )
+        if max_jobs is None:
+            max_jobs = env_number(
+                "REPRO_JOBS_MAX_CELLS", None, error=JobError, minimum=1
+            )
+        self.max_attempts = max_attempts
+        self.backoff_s = backoff_s
+        self.max_jobs = max_jobs
 
     def run(
         self,

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import os
 import re
 import threading
 from typing import Optional, Tuple
 
 from repro.errors import TrainingError
+from repro.utils.env import env_number
 
 TRAIN_THREADS_ENV_VAR = "REPRO_BLAS_THREADS_TRAIN"
 SERVE_THREADS_ENV_VAR = "REPRO_BLAS_THREADS_SERVE"
@@ -133,20 +133,7 @@ def domain_threads(domain: str) -> Optional[int]:
         raise TrainingError(
             f"unknown BLAS thread domain {domain!r}; known: {known}"
         ) from None
-    raw = os.environ.get(env_var, "")
-    if not raw:
-        return None
-    try:
-        count = int(raw)
-    except ValueError:
-        raise TrainingError(
-            f"{env_var} must be a positive integer, got {raw!r}"
-        ) from None
-    if count < 1:
-        raise TrainingError(
-            f"{env_var} must be a positive integer, got {count}"
-        )
-    return count
+    return env_number(env_var, None, error=TrainingError, minimum=1)
 
 
 @contextlib.contextmanager

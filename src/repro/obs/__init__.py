@@ -44,7 +44,7 @@ training bit-identical (``tests/test_obs_trace.py`` proves it).
 
 from repro.obs.agg import merge_run
 from repro.obs.context import RunContext, current, run_context
-from repro.obs.events import emit, event_counts, read_events
+from repro.obs.events import emit, read_events
 from repro.obs.log import Logger, configure, get_logger
 from repro.obs.metrics import (
     REGISTRY,
@@ -66,7 +66,6 @@ __all__ = [
     "configure",
     "current",
     "emit",
-    "event_counts",
     "get_logger",
     "merge_run",
     "read_events",

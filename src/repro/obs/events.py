@@ -112,11 +112,3 @@ def read_events(run_dir, limit: Optional[int] = None,
         records = records[-limit:] if limit else []
     return records
 
-
-def event_counts(run_dir) -> Dict[str, int]:
-    """``{event name: count}`` over the whole bus."""
-    counts: Dict[str, int] = {}
-    for record in read_events(run_dir):
-        name = str(record.get("event", "?"))
-        counts[name] = counts.get(name, 0) + 1
-    return counts

@@ -29,8 +29,7 @@ key-only subspaces of a related-key scenario.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +39,7 @@ from repro.obs import log as obs_log
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
 from repro.search.oracle import BiasScoringOracle, DEFAULT_SAMPLES
+from repro.utils.env import env_number
 from repro.utils.rng import random_words
 
 _log = obs_log.get_logger("repro.search")
@@ -51,19 +51,6 @@ ENV_GENERATIONS = "REPRO_SEARCH_GENERATIONS"
 ENV_SAMPLES = "REPRO_SEARCH_SAMPLES"
 ENV_SEED = "REPRO_SEARCH_SEED"
 ENV_TOP_K = "REPRO_SEARCH_TOP_K"
-
-
-def _env_int(name: str, fallback: int, minimum: int = 1) -> int:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SearchError(f"{name} must be an integer, got {raw!r}") from None
-    if value < minimum:
-        raise SearchError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -102,14 +89,17 @@ class SearchConfig:
     @classmethod
     def from_env(cls, **overrides) -> "SearchConfig":
         """Defaults, overridden by ``REPRO_SEARCH_*``, then by kwargs."""
-        base = cls(
-            population_size=_env_int(ENV_POPULATION, cls.population_size),
-            generations=_env_int(ENV_GENERATIONS, cls.generations),
-            n_samples=_env_int(ENV_SAMPLES, cls.n_samples, minimum=2),
-            seed=_env_int(ENV_SEED, cls.seed, minimum=0),
-            top_k=_env_int(ENV_TOP_K, cls.top_k),
+        def knob(name, default, minimum=1):
+            return env_number(name, default, error=SearchError, minimum=minimum)
+
+        values = dict(
+            population_size=knob(ENV_POPULATION, cls.population_size, minimum=2),
+            generations=knob(ENV_GENERATIONS, cls.generations),
+            n_samples=knob(ENV_SAMPLES, cls.n_samples, minimum=2),
+            seed=knob(ENV_SEED, cls.seed, minimum=0),
+            top_k=knob(ENV_TOP_K, cls.top_k),
         )
-        return replace(base, **overrides) if overrides else base
+        return cls(**{**values, **overrides})
 
 
 @dataclass

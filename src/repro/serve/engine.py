@@ -26,7 +26,6 @@ Knobs (constructor arguments, defaulting from the environment):
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -41,6 +40,7 @@ from repro.nn.backend import blas
 from repro.nn.model import Sequential
 from repro.obs.trace import span
 from repro.serve.metrics import ServeMetrics
+from repro.utils.env import env_number
 
 #: Environment knobs (see EXPERIMENTS.md, "Serving knobs").
 MAX_BATCH_ENV_VAR = "REPRO_SERVE_MAX_BATCH"
@@ -51,19 +51,6 @@ DEFAULT_MAX_WAIT_MS = 2.0
 DEFAULT_MAX_QUEUE = 1024
 
 _STOP = object()
-
-
-def _env_positive(name: str, default, cast):
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        value = cast(raw)
-    except ValueError:
-        raise ServeError(f"{name} must be a {cast.__name__}, got {raw!r}") from None
-    if value <= 0:
-        raise ServeError(f"{name} must be positive, got {value}")
-    return value
 
 
 @dataclass
@@ -93,16 +80,17 @@ class MicroBatchEngine:
         if model.input_shape is None:
             raise ServeError("build the model before serving it")
         self.model = model
-        self.max_batch = int(
-            max_batch
-            if max_batch is not None
-            else _env_positive(MAX_BATCH_ENV_VAR, DEFAULT_MAX_BATCH, int)
-        )
-        wait_ms = float(
-            max_wait_ms
-            if max_wait_ms is not None
-            else _env_positive(MAX_WAIT_MS_ENV_VAR, DEFAULT_MAX_WAIT_MS, float)
-        )
+        if max_batch is None:
+            max_batch = env_number(
+                MAX_BATCH_ENV_VAR, DEFAULT_MAX_BATCH, error=ServeError, minimum=1
+            )
+        if max_wait_ms is None:
+            max_wait_ms = env_number(
+                MAX_WAIT_MS_ENV_VAR, DEFAULT_MAX_WAIT_MS, float,
+                error=ServeError, above=0,
+            )
+        self.max_batch = int(max_batch)
+        wait_ms = float(max_wait_ms)
         if self.max_batch <= 0:
             raise ServeError(f"max_batch must be positive, got {self.max_batch}")
         if wait_ms < 0:

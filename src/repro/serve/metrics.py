@@ -19,7 +19,6 @@ percentiles always reflect recent behaviour.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -27,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry, quantile
+from repro.utils.env import env_number
 
 #: Rolling (status, latency) window for SLO evaluation: big enough for a
 #: stable p99, small enough that a recovered server stops reporting a
@@ -188,32 +188,6 @@ class ServeMetrics:
         return self._request_latency.window_values()
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ServeError(f"{name} must be a float, got {raw!r}") from None
-    if value <= 0:
-        raise ServeError(f"{name} must be positive, got {value}")
-    return value
-
-
-def _env_samples(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ServeError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ServeError(f"{name} must be >= 1, got {value}")
-    return value
-
-
 class SloPolicy:
     """Rolling-window SLO thresholds for the serving front-end.
 
@@ -255,12 +229,17 @@ class SloPolicy:
     def from_env(cls) -> "SloPolicy":
         """Thresholds from ``REPRO_OBS_SLO_*`` knobs (see EXPERIMENTS.md)."""
         return cls(
-            error_rate=_env_float(
-                "REPRO_OBS_SLO_ERROR_RATE", DEFAULT_SLO_ERROR_RATE
+            error_rate=env_number(
+                "REPRO_OBS_SLO_ERROR_RATE", DEFAULT_SLO_ERROR_RATE, float,
+                error=ServeError, above=0, maximum=1,
             ),
-            p99_ms=_env_float("REPRO_OBS_SLO_P99_MS", DEFAULT_SLO_P99_MS),
-            min_samples=_env_samples(
-                "REPRO_OBS_SLO_MIN_SAMPLES", DEFAULT_SLO_MIN_SAMPLES
+            p99_ms=env_number(
+                "REPRO_OBS_SLO_P99_MS", DEFAULT_SLO_P99_MS, float,
+                error=ServeError, above=0,
+            ),
+            min_samples=env_number(
+                "REPRO_OBS_SLO_MIN_SAMPLES", DEFAULT_SLO_MIN_SAMPLES,
+                error=ServeError, minimum=1,
             ),
         )
 

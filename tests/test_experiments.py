@@ -13,7 +13,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
-from repro.experiments.report import format_table, paper_vs_measured
+from repro.experiments.report import format_table
 from repro.experiments.table1 import run_table1, verify_trail_empirically
 from repro.experiments.table2 import PAPER_TABLE2, run_table2
 from repro.experiments.table3 import run_table3
@@ -150,16 +150,6 @@ class TestReport:
     def test_format_table(self):
         text = format_table(["a", "b"], [[1, 0.5], ["x", 2.0]], title="T")
         assert "T" in text and "0.5000" in text and "x" in text
-
-    def test_paper_vs_measured_delta(self):
-        rows = paper_vs_measured(
-            [{"paper": 0.5, "measured": 0.6}], key="accuracy"
-        )
-        assert rows[0]["delta"] == pytest.approx(0.1)
-
-    def test_missing_fields_tolerated(self):
-        rows = paper_vs_measured([{"paper": None, "measured": 0.6}], key="x")
-        assert "delta" not in rows[0]
 
 
 class TestMainEntry:

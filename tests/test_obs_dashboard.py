@@ -10,18 +10,19 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
+from urllib.parse import quote, urlencode
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.jobs.queue import JobQueue
 from repro.obs import events as obs_events
-from repro.obs.dashboard import (
-    DashboardServer,
-    collect_dashboard,
-    main,
-    render_dashboard_html,
-    render_watch,
-)
+from repro.experiments.report import collect_run as collect_dashboard
+from repro.experiments.report import render_text as render_watch
+from repro.obs.dashboard import DashboardServer, main
+from repro.obs.dashboard import render_page as render_dashboard_html
 
 
 @pytest.fixture
@@ -159,3 +160,71 @@ class TestCli:
     def test_once_prints_watch_text(self, killed_run, capsys):
         assert main(["--run-dir", str(killed_run), "--once"]) == 0
         assert "cells done" in capsys.readouterr().out
+
+
+def _get_raw(url, path):
+    """``(status, body)`` of one GET on a fresh connection."""
+    host, port = url.removeprefix("http://").split(":")
+    connection = HTTPConnection(host, int(port), timeout=10)
+    try:
+        connection.request("GET", path)
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+@pytest.fixture(scope="module")
+def fuzz_server(tmp_path_factory):
+    """One dashboard for every example, over a run with queue and events."""
+    run_dir = tmp_path_factory.mktemp("dash")
+    queue = JobQueue(run_dir / "queue" / "table2")
+    queue.bind("table2", {"rounds": [3]}, 7)
+    job = queue.submit({"experiment": "table2", "target": "hash",
+                        "rounds": 3, "seed": 7}, index=0)
+    queue.mark_done(job, {"target": "hash", "rounds": 3, "measured": 0.9,
+                          "paper": 0.5}, 1.0, 1)
+    for i in range(3):
+        obs_events.emit("tick", run_dir=run_dir, i=i)
+    with DashboardServer(run_dir, port=0) as server:
+        yield server.url
+
+
+ROUTES = ["/", "/index.html", "/api/status", "/api/events", "/nope", "//"]
+
+
+class TestHttpValidation:
+    @pytest.mark.parametrize("query", ["n=abc", "n=-3", "n=1.5", "n=1&n=x"])
+    def test_bad_event_limit_400(self, fuzz_server, query):
+        status, payload = _get_raw(fuzz_server, "/api/events?" + query)
+        assert status == 400
+        assert "n must be" in json.loads(payload)["error"]
+
+    @pytest.mark.parametrize("query,count", [("n=0", 0), ("n=2", 2),
+                                             ("n=99", 3), ("", 3)])
+    def test_good_event_limit(self, fuzz_server, query, count):
+        status, payload = _get_raw(fuzz_server, "/api/events?" + query)
+        assert status == 200
+        assert len(json.loads(payload)["events"]) == count
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        route=st.sampled_from(ROUTES),
+        suffix=st.text(max_size=12),
+        query=st.lists(
+            st.tuples(st.sampled_from(["n", "x", ""]), st.text(max_size=8)),
+            max_size=3,
+        ),
+    )
+    @example(route="/api/events", suffix="", query=[("n", "abc")])
+    @example(route="/api/events", suffix="", query=[("n", "-3")])
+    def test_get_routes_never_500(self, fuzz_server, route, suffix, query):
+        path = route + quote(suffix)
+        if query:
+            path += "?" + urlencode(query)
+        status, payload = _get_raw(fuzz_server, path)
+        assert status in (200, 400, 404), (path, status, payload)
+        if status != 200:
+            assert isinstance(json.loads(payload)["error"], str)
+        # ...and the server keeps serving afterwards.
+        assert _get_raw(fuzz_server, "/api/status")[0] == 200

@@ -57,13 +57,6 @@ class TestRead:
 
     def test_missing_file_reads_empty(self, tmp_path):
         assert obs_events.read_events(tmp_path) == []
-        assert obs_events.event_counts(tmp_path) == {}
-
-    def test_event_counts(self, tmp_path):
-        obs_events.emit("a", run_dir=tmp_path)
-        obs_events.emit("a", run_dir=tmp_path)
-        obs_events.emit("b", run_dir=tmp_path)
-        assert obs_events.event_counts(tmp_path) == {"a": 2, "b": 1}
 
     def test_lines_are_sorted_json(self, tmp_path):
         obs_events.emit("z", run_dir=tmp_path, beta=1, alpha=2)
