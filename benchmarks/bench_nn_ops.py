@@ -107,6 +107,66 @@ def test_adam_update(benchmark, factory):
     benchmark(optimizer.update, params, grads)
 
 
+def _pair_step(dense, relu, x, grad):
+    relu.forward(dense.forward(x, training=True), training=True)
+    dense.backward(relu.backward(grad))
+
+
+@pytest.mark.parametrize(
+    "factory", [mlp_ii, mlp_iii], ids=["MLP II", "MLP III"]
+)
+def test_dense_relu_step(benchmark, factory):
+    """Forward and backward of the model's last Dense+ReLU pair (the
+    1024-wide one), float32 at batch 256: three GEMMs and the compiled
+    epilogue around them.
+
+    The pair masks its incoming gradient in place; masking the same
+    array again gives the same array, so one gradient serves every
+    round.
+    """
+    model = factory()
+    model.build((INPUT_BITS,), rng=0)
+    model.compile(dtype="float32")
+    dense, relu = model.layers[-4], model.layers[-3]
+    assert dense.relu is relu
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(
+        (BATCH, dense.params[0].shape[0])
+    ).astype(np.float32)
+    grad = rng.standard_normal((BATCH, dense.units)).astype(np.float32)
+    benchmark(_pair_step, dense, relu, x, grad)
+
+
+@pytest.mark.parametrize("factory", [mlp_ii], ids=["MLP II"])
+def test_adam_update_dead_units(benchmark, factory):
+    """One float32 Adam step with 2.5% of the hidden units dead.
+
+    Their kernel columns and biases get exactly zero gradient and their
+    first moments sit at 4 * 2^-149, the subnormal fixed point that
+    real Table 2 training reaches, so every step takes the kernel's
+    subnormal path for them.
+    """
+    model = factory()
+    model.build((INPUT_BITS,), rng=0)
+    model.compile(optimizer=Adam(), dtype="float32")
+    params, _ = model._gather()
+    rng = np.random.default_rng(2)
+    hidden = model.layers[-4].units
+    dead = rng.random(hidden) < 0.025
+    grads = [
+        rng.standard_normal(p.shape).astype(np.float32) * np.float32(1e-3)
+        for p in params
+    ]
+    optimizer = Adam()
+    optimizer.update(params, grads)
+    stuck = np.float32(4 * 2.0**-149)
+    for index, param in enumerate(params):
+        if param.shape[-1] == hidden:
+            grads[index][..., dead] = 0
+            optimizer._m[index][..., dead] = stuck
+    benchmark(optimizer.update, params, grads)
+
+
 def test_inference_throughput(benchmark, batch):
     x, _ = batch
     model = mlp_iii()

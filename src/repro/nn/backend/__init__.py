@@ -6,8 +6,9 @@
 * :mod:`repro.nn.backend.qkernel` — the compiled int8 inference kernel
   behind :mod:`repro.nn.quant`;
 * :mod:`repro.nn.backend.cbuild` — the one build/cache/load/self-test
-  path for runtime-compiled C kernels, used by ``qkernel`` and by the
-  one-pass Adam step in :mod:`repro.nn.optimizers`.
+  path for runtime-compiled C kernels, used by ``qkernel``, by the
+  one-pass Adam step in :mod:`repro.nn.optimizers` and by the
+  Dense+ReLU epilogue in :mod:`repro.nn.layers`.
 
-The layers and losses themselves call numpy directly.
+Apart from that epilogue, the layers and losses call numpy directly.
 """

@@ -11,6 +11,14 @@ Every layer implements the same small contract:
 * ``output_shape(input_shape)`` and ``get_config()`` for model
   persistence.
 
+Ownership: a layer may overwrite an array only when a layer of the same
+``Sequential`` produced it in the same pass.  The caller's arrays (the
+``x`` given to ``forward``/``predict``/``fit``/``train_on_batch`` and
+the ``grad`` given to ``Sequential.backward``) are never written.  The
+one layer pair that writes in place, a biased ``Dense`` directly below
+a ``ReLU``, rectifies its own fresh GEMM output and masks a gradient
+that ``Sequential`` guarantees it owns (see :class:`ReLU`).
+
 Gradients are exact (validated against numerical differentiation in the
 tests).  Compute precision is a per-layer ``dtype`` policy (default
 float64 for exact-gradient tests; float32 opt-in via
@@ -18,16 +26,19 @@ float64 for exact-gradient tests; float32 opt-in via
 traffic and matmul wall-clock on the training hot path).
 
 ``tests/test_nn_backend.py`` pins every layer's forward and backward
-bitwise against independently spelled numpy references.
+bitwise against independently spelled numpy references, and the
+compiled Dense+ReLU epilogue against the numpy path.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import LayerError
+from repro.nn.backend import cbuild
 from repro.nn.initializers import get_initializer
 
 
@@ -70,6 +81,133 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     out += 1.0
     np.reciprocal(out, out=out)
     return out
+
+
+_EPILOGUE_SOURCE = r"""
+/* The Dense+ReLU epilogue around the GEMM, over a row-major (n, k)
+   block, with numpy's ops in numpy's order (-ffp-contract=off).
+   Forward, in place: out = out + b, on = out > 0, out = out * on; the
+   mask is written only when it is not NULL (training).  Backward, in
+   place: grad = grad * on, and bias_grad = the column sums of the
+   masked grad, added row by row from +0.0 as numpy's sum(axis=0) does
+   when k >= 2. */
+#define EPILOGUE(SUFFIX, T)                                             \
+void repro_dense_relu_forward_##SUFFIX(                                 \
+    T* restrict out, const T* restrict b, unsigned char* restrict mask, \
+    long n, long k)                                                     \
+{                                                                       \
+    for (long i = 0; i < n; i++) {                                      \
+        T* restrict row = out + i * k;                                  \
+        if (mask) {                                                     \
+            unsigned char* restrict on = mask + i * k;                  \
+            for (long j = 0; j < k; j++) {                              \
+                T y = row[j] + b[j];                                    \
+                on[j] = y > 0;                                          \
+                row[j] = y * (T)(y > 0);                                \
+            }                                                           \
+        } else {                                                        \
+            for (long j = 0; j < k; j++) {                              \
+                T y = row[j] + b[j];                                    \
+                row[j] = y * (T)(y > 0);                                \
+            }                                                           \
+        }                                                               \
+    }                                                                   \
+}                                                                       \
+                                                                        \
+void repro_dense_relu_backward_##SUFFIX(                                \
+    T* restrict grad, const unsigned char* restrict mask,               \
+    T* restrict bias_grad, long n, long k)                              \
+{                                                                       \
+    for (long j = 0; j < k; j++)                                        \
+        bias_grad[j] = 0;                                               \
+    for (long i = 0; i < n; i++) {                                      \
+        T* restrict row = grad + i * k;                                 \
+        const unsigned char* restrict on = mask + i * k;                \
+        for (long j = 0; j < k; j++) {                                  \
+            T g = row[j] * (T)on[j];                                    \
+            row[j] = g;                                                 \
+            bias_grad[j] += g;                                          \
+        }                                                               \
+    }                                                                   \
+}
+
+EPILOGUE(f32, float)
+EPILOGUE(f64, double)
+"""
+
+
+def _bind_epilogue(lib):
+    entries = {}
+    for dtype, suffix in ((np.float32, "f32"), (np.float64, "f64")):
+        forward = getattr(lib, f"repro_dense_relu_forward_{suffix}")
+        backward = getattr(lib, f"repro_dense_relu_backward_{suffix}")
+        for fn in (forward, backward):
+            fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 2
+            fn.restype = None
+        entries[np.dtype(dtype)] = (forward, backward)
+    return entries
+
+
+def dense_relu_numpy(pre, bias, grad):
+    """The numpy spelling of the epilogue: the unfused Dense + ReLU ops.
+
+    Returns ``(out, mask, masked_grad, bias_grad)`` for the GEMM output
+    ``pre``; the compiled epilogue must give the same bits.
+    """
+    out = pre.copy()
+    out += bias
+    mask = np.greater(out, 0)
+    masked = grad * mask
+    return out * mask, mask, masked, masked.sum(axis=0)
+
+
+def _epilogue_self_test(entries) -> bool:
+    """Compiled epilogue vs :func:`dense_relu_numpy`, compared bitwise.
+
+    Widths from 2 (the narrowest the kernel takes) to odd sizes past any
+    vector width, and a row count past numpy's pairwise-summation block.
+    Pre-activations and biases include zeros of both signs, so some
+    outputs are exactly +0.0 or -0.0, and one column is dead with
+    all-negative gradients, so its masked gradients are all -0.0 and
+    its bias gradient must come out +0.0.
+    """
+    rng = np.random.default_rng(31415)
+    for dtype, (forward, backward) in entries.items():
+        for n, k in ((1, 2), (7, 3), (33, 67), (300, 5)):
+            pre = rng.standard_normal((n, k)).astype(dtype)
+            pre.flat[::5] = 0.0
+            pre.flat[1::7] = -0.0
+            pre[:, -1] = -np.abs(pre[:, -1]) - 1.0
+            bias = rng.standard_normal(k).astype(dtype)
+            bias[::4], bias[2::4] = 0.0, -0.0
+            bias[-1] = 0.0
+            grad = rng.standard_normal((n, k)).astype(dtype)
+            grad[:, -1] = -np.abs(grad[:, -1])
+            expected = dense_relu_numpy(pre, bias, grad)
+            out, bare = pre.copy(), pre.copy()
+            mask = np.empty((n, k), np.bool_)
+            masked = grad.copy()
+            bias_grad = np.empty(k, dtype)
+            forward(out.ctypes.data, bias.ctypes.data, mask.ctypes.data, n, k)
+            forward(bare.ctypes.data, bias.ctypes.data, None, n, k)
+            backward(masked.ctypes.data, mask.ctypes.data,
+                     bias_grad.ctypes.data, n, k)
+            got = (out, mask, masked, bias_grad)
+            if bare.tobytes() != out.tobytes() or any(
+                a.tobytes() != b.tobytes() for a, b in zip(got, expected)
+            ):
+                return False
+    return True
+
+
+_EPILOGUE_KERNEL = cbuild.CompiledKernel(
+    "dense_relu", _EPILOGUE_SOURCE, _bind_epilogue, _epilogue_self_test
+)
+
+
+def epilogue_kernel_in_use() -> bool:
+    """True when paired Dense+ReLU layers run the compiled epilogue."""
+    return _EPILOGUE_KERNEL.get() is not None
 
 
 class Layer:
@@ -135,6 +273,11 @@ class Layer:
 class Dense(Layer):
     """Fully connected layer: ``y = x @ W + b``."""
 
+    #: The ReLU directly above this layer, set by ``Sequential.build`` on
+    #: a biased Dense.  The pair then runs as one compiled epilogue after
+    #: the GEMM (see :class:`ReLU`).
+    relu: Optional["ReLU"] = None
+
     def __init__(
         self,
         units: int,
@@ -166,6 +309,10 @@ class Dense(Layer):
     def forward(self, x, training=False):
         self._x = x if training else None
         out = x @ self.params[0]
+        if self.relu is not None and self.relu.rectify(
+            out, self.params[1], training
+        ):
+            return out
         if self.use_bias:
             out += self.params[1]
         return out
@@ -175,9 +322,13 @@ class Dense(Layer):
             raise LayerError("backward called without a training forward pass")
         # Write straight into the persistent gradient buffers instead of
         # allocating fresh arrays every step.
-        np.matmul(self._x.T, grad, out=self.grads[0])
-        if self.use_bias:
+        if self.relu is not None and grad is self.relu.deferred_grad:
+            # The ReLU above left its mask to this pass, which applies it
+            # in place and sums the bias gradient.
+            self.relu.mask_deferred(self.grads[1])
+        elif self.use_bias:
             grad.sum(axis=0, out=self.grads[1])
+        np.matmul(self._x.T, grad, out=self.grads[0])
         if self.skip_input_grad:
             return None
         return grad @ self.params[0].T
@@ -194,14 +345,65 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
-    """Rectified linear activation."""
+    """Rectified linear activation.
+
+    Paired with the biased :class:`Dense` below it (``Dense.relu``), the
+    numpy passes around that layer's GEMM run as one compiled epilogue,
+    with the same bits.  In the forward pass the Dense calls
+    :meth:`rectify`: bias add, mask and ReLU in place on its fresh GEMM
+    output, and this layer's ``forward`` passes that array through.  In
+    the backward pass this layer hands its input gradient down unmasked
+    and the Dense calls :meth:`mask_deferred`, which masks it in place
+    and sums the bias gradient.  Both hand-overs are checked by array
+    identity: ``forward`` on any other array rectifies it as usual, and
+    the Dense masks only the array this layer handed down.  So after a
+    fused training pass, the gradient this ``backward`` returns must go
+    to the paired Dense's ``backward``, as ``Sequential`` does.
+    """
 
     def __init__(self):
         super().__init__()
         self._mask: Optional[np.ndarray] = None
         self._scratch: dict = {}
+        # The paired Dense's output, already rectified in this pass.
+        self._rectified: Optional[np.ndarray] = None
+        # The dtype of a training pass whose mask the paired Dense
+        # applies; None when this layer applies its own mask.
+        self._deferred_dtype: Optional[np.dtype] = None
+        #: The gradient handed down unmasked to the paired Dense.
+        self.deferred_grad: Optional[np.ndarray] = None
+
+    def rectify(self, out, bias, training) -> bool:
+        """Add ``bias`` to ``out`` and rectify it in place, recording the
+        mask when training; False when the compiled epilogue cannot."""
+        entry = (_EPILOGUE_KERNEL.get() or {}).get(out.dtype)
+        if (entry is None or bias.dtype != out.dtype or out.ndim != 2
+                or out.shape[1] < 2 or not out.flags.c_contiguous
+                or not bias.flags.c_contiguous):
+            return False
+        mask = (scratch_buffer(self._scratch, "mask", out.shape, np.bool_)
+                if training else None)
+        entry[0](out.ctypes.data, bias.ctypes.data,
+                 None if mask is None else mask.ctypes.data, *out.shape)
+        self._mask = mask
+        self._deferred_dtype = out.dtype if training else None
+        self._rectified = out
+        return True
+
+    def mask_deferred(self, bias_grad) -> None:
+        """Mask the deferred gradient in place; write its column sums."""
+        grad, self.deferred_grad = self.deferred_grad, None
+        _EPILOGUE_KERNEL.get()[grad.dtype][1](
+            grad.ctypes.data, self._mask.ctypes.data, bias_grad.ctypes.data,
+            *grad.shape,
+        )
 
     def forward(self, x, training=False):
+        self.deferred_grad = None
+        if x is self._rectified:
+            self._rectified = None
+            return x
+        self._deferred_dtype = None
         mask = scratch_buffer(self._scratch, "mask", x.shape, np.bool_)
         np.greater(x, 0, out=mask)
         out = x * mask
@@ -211,6 +413,12 @@ class ReLU(Layer):
     def backward(self, grad):
         if self._mask is None:
             raise LayerError("backward called without a training forward pass")
+        if (self._deferred_dtype is not None
+                and grad.dtype == self._deferred_dtype
+                and grad.shape == self._mask.shape
+                and grad.flags.c_contiguous):
+            self.deferred_grad = grad
+            return grad
         return grad * self._mask
 
 

@@ -47,7 +47,7 @@ from repro.nn import layers as layers_mod
 from repro.nn import recurrent as recurrent_mod
 from repro.nn.backend import blas
 from repro.nn.callbacks import Callback, History
-from repro.nn.layers import Layer, Softmax
+from repro.nn.layers import Dense, Layer, ReLU, Softmax
 from repro.nn.losses import (
     LOSSES,
     CategoricalCrossentropy,
@@ -131,6 +131,11 @@ class Sequential:
             if layer.params:
                 layer.skip_input_grad = True
                 break
+        # A biased Dense directly below a ReLU runs the pair as one
+        # compiled epilogue (see ``layers.ReLU``).
+        for below, above in zip(self.layers, self.layers[1:]):
+            if type(below) is Dense and below.use_bias and type(above) is ReLU:
+                below.relu = above
         return self
 
     def compile(
@@ -221,8 +226,20 @@ class Sequential:
         when the bottom parameterised layer skipped it (nothing below it
         has parameters, so the input gradient is never consumed).
         """
+        if any(isinstance(layer, Dense) and layer.relu is not None
+               for layer in self.layers):
+            # A fused Dense+ReLU pair masks the gradient it receives in
+            # place; the caller's array is never written.
+            grad = np.array(grad, copy=True)
+        return self._backward_from(len(self.layers) - 1, grad)
+
+    def _backward_from(self, top: int, grad: np.ndarray) -> Optional[np.ndarray]:
+        """Backpropagate ``grad`` from layer ``top`` down; see :meth:`backward`.
+
+        ``grad`` must be an array this model may overwrite.
+        """
         prof = self._profiler
-        for index in range(len(self.layers) - 1, -1, -1):
+        for index in range(top, -1, -1):
             layer = self.layers[index]
             if prof is not None:
                 tick = time.perf_counter()
@@ -262,20 +279,8 @@ class Sequential:
             loss_value = self.loss.value(yb, pred)
             # d(loss)/d(logits) = (p - y) / n: feed it straight into the
             # layer below the softmax, skipping the Jacobian product.
-            grad = (pred - yb) / yb.shape[0]
-            prof = self._profiler
-            for index in range(len(self.layers) - 2, -1, -1):
-                layer = self.layers[index]
-                if prof is not None:
-                    tick = time.perf_counter()
-                grad = layer.backward(grad)
-                if prof is not None:
-                    prof.record(
-                        index, layer.name, "backward",
-                        time.perf_counter() - tick,
-                    )
-                if grad is None:
-                    break
+            self._backward_from(len(self.layers) - 2,
+                                (pred - yb) / yb.shape[0])
         else:
             loss_value, grad = self.loss(yb, pred)
             self.backward(grad)

@@ -1,8 +1,27 @@
-"""Shared helpers for neural-network tests: numerical gradient checking."""
+"""Shared helpers for neural-network tests: numerical gradient checking
+and whether the compiled kernels are expected to load."""
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import numpy as np
+
+from repro.nn.backend import cbuild
+
+
+def compiled_kernels_expected() -> bool:
+    """True when a C compiler is on PATH and the kernel cache directory
+    can be created, so every compiled kernel must build and pass its
+    self-test rather than fall back to numpy."""
+    if shutil.which("cc") is None:
+        return False
+    try:
+        os.makedirs(cbuild.cache_dir(), exist_ok=True)
+    except OSError:
+        return False
+    return os.access(cbuild.cache_dir(), os.W_OK)
 
 
 def layer_gradient_check(

@@ -55,6 +55,9 @@ class TestCommittedBaselines:
                 "test_inference_throughput",
                 "test_adam_update[MLP II]",
                 "test_adam_update[MLP III]",
+                "test_dense_relu_step[MLP II]",
+                "test_dense_relu_step[MLP III]",
+                "test_adam_update_dead_units[MLP II]",
             },
             "ciphers": {"test_gimli_full_rounds", "test_gimli_8_rounds"},
             "serve": {

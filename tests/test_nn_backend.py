@@ -5,10 +5,12 @@ Every elementwise layer, Dense and both cross-entropies are compared
 functions.  The references are spelled independently of the library
 (explicit ufunc calls where the layers use operators, and vice versa)
 but round identically, so any divergence means a kernel's arithmetic
-changed.  Whole models are pinned two ways: a forward/backward walk
-that swaps every referenced layer for its reference must reproduce the
-model bit for bit, and two ``fit`` runs from one seed must train
-bit-identical parameters.  LSTM and Conv1D keep their own seed pins in
+changed.  Whole models, among them Table 3's MLP I–VI, are pinned three
+ways: a forward/backward walk that swaps every referenced layer for its
+reference must reproduce the model bit for bit, two ``fit`` runs from
+one seed must train bit-identical parameters, and a fit through the
+compiled Dense+ReLU epilogue must train the same bytes as one with the
+epilogue forced off.  LSTM and Conv1D keep their own seed pins in
 ``tests/test_nn_seq_kernels.py``.
 """
 
@@ -32,7 +34,10 @@ from repro.nn import (
     Softmax,
     Tanh,
 )
-from repro.nn.layers import _sigmoid
+from nn_helpers import compiled_kernels_expected
+from repro.nn import layers as layers_mod
+from repro.nn.architectures import TABLE3_NETWORKS
+from repro.nn.layers import _sigmoid, epilogue_kernel_in_use
 
 DTYPES = ["float32", "float64"]
 
@@ -257,7 +262,21 @@ def _lstm(classes=3):
     return [Reshape((4, 4)), LSTM(7), Dense(classes), Softmax()]
 
 
+def _table3_mlp(name):
+    """Table 3's MLP ``name`` with a ``classes``-way head."""
+
+    def layers(classes=3):
+        hidden = TABLE3_NETWORKS[name]["factory"]().layers[:-2]
+        return hidden + [Dense(classes), Softmax()]
+
+    return layers
+
+
 ARCHES = {"mlp": _mlp, "cnn": _cnn, "lstm": _lstm}
+ARCHES.update(
+    (name, _table3_mlp(name))
+    for name in ("MLP I", "MLP II", "MLP III", "MLP IV", "MLP V", "MLP VI")
+)
 
 
 def _model(arch, dtype, rng_factory):
@@ -280,6 +299,18 @@ def _walk_forward(model, x):
             x, ctx = layer.forward(x, training=True), None
         contexts.append(ctx)
     return x, contexts
+
+
+def _fit_bits(arch, dtype, rng_factory):
+    """Parameters and probe predictions after a seeded two-epoch fit."""
+    model = _model(arch, dtype, rng_factory)
+    x = rng_factory(14).random((48, 16)).astype(dtype)
+    labels = rng_factory(15).integers(0, 3, size=48)
+    model.fit(x, labels, epochs=2, batch_size=16, shuffle=True, rng=5)
+    probe = rng_factory(16).random((8, 16)).astype(dtype)
+    return [_bits(model.predict_proba(probe))] + [
+        _bits(param) for layer in model.layers for param in layer.params
+    ]
 
 
 @pytest.mark.parametrize("arch", sorted(ARCHES))
@@ -321,17 +352,21 @@ class TestBitIdentity:
 
     def test_full_fit_bitwise(self, arch, dtype, rng_factory):
         """Two fits from one seed train bit-identical models."""
-        models = [_model(arch, dtype, rng_factory) for _ in range(2)]
-        x = rng_factory(14).random((48, 16)).astype(dtype)
-        labels = rng_factory(15).integers(0, 3, size=48)
-        for model in models:
-            model.fit(x, labels, epochs=2, batch_size=16, shuffle=True, rng=5)
-        probe = rng_factory(16).random((8, 16)).astype(dtype)
-        a, b = (model.predict_proba(probe) for model in models)
-        assert _bits(a) == _bits(b)
-        for layer_a, layer_b in zip(models[0].layers, models[1].layers):
-            for param_a, param_b in zip(layer_a.params, layer_b.params):
-                assert _bits(param_a) == _bits(param_b)
+        assert _fit_bits(arch, dtype, rng_factory) == _fit_bits(
+            arch, dtype, rng_factory
+        )
+
+    def test_fit_bitwise_without_epilogue(
+        self, arch, dtype, rng_factory, monkeypatch
+    ):
+        """A fit through the compiled Dense+ReLU epilogue and one on the
+        numpy path train the same bytes."""
+        if compiled_kernels_expected():
+            assert epilogue_kernel_in_use()
+        fused = _fit_bits(arch, dtype, rng_factory)
+        monkeypatch.setattr(layers_mod._EPILOGUE_KERNEL, "get", lambda: None)
+        assert not epilogue_kernel_in_use()
+        assert _fit_bits(arch, dtype, rng_factory) == fused
 
 
 class TestOpContracts:

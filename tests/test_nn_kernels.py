@@ -1,12 +1,13 @@
 """Kernel-equivalence tests for the hot-path rewrites.
 
 The fused softmax+CCE backward, the in-place optimizers, the compiled
-Adam step and the Dense ``out=`` backward are pure performance work:
-each must match its reference formulation — the optimizers bit-for-bit
-(their arithmetic order is preserved), the fused gradient to float
-tolerance (it is algebraically identical but rounds differently).  The
-compiled kernels' on-disk cache must survive corruption without
-changing a number.
+Adam step, the compiled Dense+ReLU epilogue and the Dense ``out=``
+backward are pure performance work: each must match its reference
+formulation — the optimizers and the epilogue bit-for-bit (their
+arithmetic order is preserved), the fused gradient to float tolerance
+(it is algebraically identical but rounds differently).  The compiled
+kernels' on-disk cache must survive corruption without changing a
+number, and no layer may write an array the caller passed in.
 """
 
 import os
@@ -17,9 +18,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.nn import optimizers
+from nn_helpers import compiled_kernels_expected
+from repro.nn import layers, optimizers
 from repro.nn.backend import cbuild, qkernel
-from repro.nn.layers import Dense, Dropout, ReLU, Softmax
+from repro.nn.conv import Conv1D
+from repro.nn.layers import (
+    Dense,
+    Dropout,
+    Flatten,
+    LeakyReLU,
+    ReLU,
+    Reshape,
+    Softmax,
+    dense_relu_numpy,
+    epilogue_kernel_in_use,
+)
 from repro.nn.losses import CategoricalCrossentropy, one_hot
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD, Adam, adam_kernel_in_use, adam_step_numpy
@@ -220,11 +233,38 @@ def _numpy_adam_run(dtype, steps, shapes):
 ODD_SHAPES = [(37, 5), (19,), (3, 7, 3)]
 
 
+def _dead_unit_run(dtype, step_fn=None):
+    """One (37, 7) parameter whose columns get gradients of scale 1e-3
+    down to subnormal for 10 steps, then exactly 0 for 250 steps, some
+    columns starting near the smallest normal.  Stepped by ``Adam`` or
+    by ``step_fn`` (``adam_step_numpy``); returns p, m, v bytes."""
+    rng = np.random.default_rng(23)
+    tiny = np.finfo(dtype).tiny
+    scales = np.array([1e-3, tiny * 2**40, tiny * 2**20, tiny * 2**10,
+                       tiny, tiny * 2**-20, tiny * 2**-40])
+    start = np.array([1.0, tiny * 16, 1.0, 1.0, tiny * 2**8, 1.0, 1.0])
+    param = (rng.standard_normal((37, 7)) * start).astype(dtype)
+    m, v = np.zeros_like(param), np.zeros_like(param)
+    adam = Adam()
+    for step in range(1, 261):
+        grad = (rng.standard_normal(param.shape) * scales).astype(dtype)
+        if step > 10:
+            grad[:] = 0
+        if step_fn is None:
+            adam.update([param], [grad])
+        else:
+            step_fn(param, grad, m, v, 0.9, 0.999, 1.0 - 0.9**step,
+                    1.0 - 0.999**step, 0.001, 1e-7)
+    if step_fn is None:
+        m, v = adam._m[0], adam._v[0]
+    return [param.tobytes(), m.tobytes(), v.tobytes()]
+
+
 class TestFusedAdam:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_kernel_bit_identical_to_numpy(self, dtype):
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler")
+        if not compiled_kernels_expected():
+            pytest.skip("no C compiler or kernel cache directory")
         # With a compiler the kernel must build and pass its self-test:
         # a silent fallback would pass every bit-identity check.
         assert adam_kernel_in_use()
@@ -238,6 +278,21 @@ class TestFusedAdam:
         monkeypatch.setattr(optimizers._ADAM_KERNEL, "get", lambda: None)
         assert not adam_kernel_in_use()
         assert _adam_run(dtype, 50, ODD_SHAPES) == with_kernel
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dead_unit_state_bit_identical(self, dtype):
+        """Gradients live for 10 steps, then exactly 0 for 250: ``m``
+        decays through the subnormals and sticks at k * 2^-149 (k * 2^-1074
+        in float64), the state dead ReLU units reach in real training.
+        The kernel's software-rounded lanes must match numpy there."""
+        if compiled_kernels_expected():
+            assert adam_kernel_in_use()
+        reference = _dead_unit_run(dtype, adam_step_numpy)
+        assert _dead_unit_run(dtype) == reference
+        m = np.frombuffer(reference[1], dtype)
+        # Non-zero entries at a fixed point of m * beta_1: stuck for good.
+        stuck = (m != 0) & (m * np.dtype(dtype).type(0.9) == m)
+        assert stuck.sum() >= 10
 
     def test_mixed_dtypes_take_numpy_path(self):
         """A float64 gradient on a float32 parameter is not the
@@ -269,6 +324,20 @@ def _int8_bits(mode, monkeypatch):
     return int8_affine(x, linear).tobytes()
 
 
+def _mlp_fit_bytes():
+    """Parameters and predictions of a small float32 Dense+ReLU MLP after
+    a seeded two-epoch fit, as bytes."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((48, 16)).astype(np.float32)
+    labels = rng.integers(0, 3, 48)
+    model = _toy_model()
+    model.compile(dtype="float32")
+    model.fit(x, labels, epochs=2, batch_size=16, rng=3)
+    return [p.tobytes() for p in model._gather()[0]] + [
+        model.predict(x).tobytes()
+    ]
+
+
 def _truncate(path):
     with open(path, "r+b") as handle:
         handle.truncate(os.path.getsize(path) // 3)
@@ -289,13 +358,14 @@ class TestKernelCacheFaults:
     def kernels(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cbuild.KERNEL_DIR_ENV_VAR, str(tmp_path))
         monkeypatch.delenv("REPRO_QUANT", raising=False)
-        pair = (optimizers._ADAM_KERNEL, qkernel._KERNEL)
-        for kernel in pair:
+        trio = (optimizers._ADAM_KERNEL, qkernel._KERNEL,
+                layers._EPILOGUE_KERNEL)
+        for kernel in trio:
             monkeypatch.setattr(kernel, "_loaded", False)
             monkeypatch.setattr(kernel, "_entry", None)
             # A cached library this process has never loaded.
             assert cbuild._build(kernel.source, kernel.flags, kernel.so_path())
-        return pair
+        return trio
 
     def _assert_results_unchanged(self, monkeypatch):
         for dtype in (np.float32, np.float64):
@@ -303,6 +373,10 @@ class TestKernelCacheFaults:
                 dtype, 20, ODD_SHAPES
             )
         assert _int8_bits("auto", monkeypatch) == _int8_bits("numpy", monkeypatch)
+        fused = _mlp_fit_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(layers._EPILOGUE_KERNEL, "get", lambda: None)
+            assert _mlp_fit_bytes() == fused
 
     @pytest.mark.parametrize("corrupt", [_truncate, _garble])
     def test_corrupt_cache_is_rebuilt(self, kernels, corrupt, monkeypatch):
@@ -335,6 +409,7 @@ class TestKernelCacheFaults:
             assert not os.path.exists(kernel.so_path())
         assert not adam_kernel_in_use()
         assert not qkernel.available()
+        assert not epilogue_kernel_in_use()
         self._assert_results_unchanged(monkeypatch)
 
 
@@ -395,3 +470,115 @@ class TestDropoutRngRouting:
         assert np.array_equal(a, b)
         c = drop.forward(x, training=True, rng=np.random.default_rng(22))
         assert not np.array_equal(a, c)
+
+
+class TestDenseReluEpilogue:
+    def test_build_pairs_each_biased_dense_below_a_relu(self):
+        model = Sequential([
+            Dense(8), ReLU(), Dense(8, use_bias=False), ReLU(),
+            Dense(8), LeakyReLU(), Dense(3), Softmax(),
+        ])
+        model.build((5,), rng=0)
+        assert model.layers[0].relu is model.layers[1]
+        assert [model.layers[i].relu for i in (2, 4, 6)] == [None] * 3
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("units", [1, 2, 67])
+    def test_pair_matches_numpy_spelling(self, dtype, units):
+        """A paired Dense+ReLU gives the bits of ``dense_relu_numpy``.
+
+        Every unit is live (bias 100) and each gradient column is
+        1e8, 1, ..., 1, -1e8, whose sum depends on the order of the
+        adds: numpy sums a single column pairwise, so ``units=1`` stays
+        on numpy, and from two columns on it adds rows in order.
+        """
+        if compiled_kernels_expected():
+            assert epilogue_kernel_in_use()
+        rng = np.random.default_rng(3)
+        model = Sequential([Dense(units), ReLU()])
+        model.build((9,), rng=0)
+        model.compile(dtype=dtype)
+        dense = model.layers[0]
+        dense.params[1][:] = 100
+        x = rng.standard_normal((300, 9)).astype(dtype)
+        grad = np.ones((300, units), dtype)
+        grad[0], grad[-1] = 1e8, -1e8
+        out = model.forward(x, training=True)
+        model.backward(grad)
+        expected, _, masked, bias_grad = dense_relu_numpy(
+            x @ dense.params[0], dense.params[1], grad
+        )
+        assert out.tobytes() == expected.tobytes()
+        assert dense.grads[1].tobytes() == bias_grad.tobytes()
+        assert dense.grads[0].tobytes() == (x.T @ masked).tobytes()
+
+    def test_relu_called_on_its_own_rectifies(self):
+        """After a fused pass the ReLU still rectifies any other array."""
+        rng = np.random.default_rng(4)
+        model = _toy_model()
+        model.forward(rng.standard_normal((5, 16)), training=True)
+        z = rng.standard_normal((5, 24))
+        relu = model.layers[1]
+        assert relu.forward(z, training=True).tobytes() == (
+            z * (z > 0)
+        ).tobytes()
+        grad = rng.standard_normal((5, 24))
+        assert relu.backward(grad).tobytes() == (grad * (z > 0)).tobytes()
+
+
+OWNERSHIP_STACKS = {
+    "relu-first": lambda: [ReLU(), Dense(8), ReLU(), Dense(3), Softmax()],
+    "reshape-relu": lambda: [
+        Reshape((4, 4)), ReLU(), Flatten(), Dense(3), Softmax(),
+    ],
+    "conv1d-relu": lambda: [
+        Reshape((8, 2)), Conv1D(4, 3), ReLU(), Flatten(), Dense(3), Softmax(),
+    ],
+    "ends-dense-relu": lambda: [Dense(8), ReLU(), Dense(3), ReLU()],
+    "ends-dense": lambda: [Dense(8), ReLU(), Dense(3)],
+}
+
+
+@pytest.mark.parametrize("stack", sorted(OWNERSHIP_STACKS))
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+class TestBufferOwnership:
+    """A layer may overwrite only an array its own model produced in the
+    same pass: the caller's inputs and gradients come back unchanged."""
+
+    def _setup(self, stack, dtype):
+        layers_ = OWNERSHIP_STACKS[stack]()
+        loss = "categorical_crossentropy" if isinstance(
+            layers_[-1], Softmax) else "mse"
+        model = Sequential(layers_)
+        model.build((16,), rng=0)
+        model.compile(loss=loss, dtype=dtype)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((32, 16)).astype(dtype)
+        y = np.eye(3, dtype=dtype)[rng.integers(0, 3, 32)]
+        return model, x, y
+
+    def test_inputs_are_never_written(self, stack, dtype):
+        model, x, y = self._setup(stack, dtype)
+        x_before, y_before = x.tobytes(), y.tobytes()
+        model.forward(x)
+        model.forward(x, training=True)
+        model.predict(x, batch_size=8)
+        model.train_on_batch(x, y)
+        model.fit(x, y, epochs=1, batch_size=8, rng=0)
+        assert x.tobytes() == x_before
+        assert y.tobytes() == y_before
+
+    def test_backward_never_writes_the_callers_gradient(self, stack, dtype):
+        model, x, _ = self._setup(stack, dtype)
+        out = model.forward(x, training=True)
+        grad = np.random.default_rng(7).standard_normal(out.shape).astype(dtype)
+        before = grad.tobytes()
+        model.backward(grad)
+        assert grad.tobytes() == before
+
+    def test_successive_predicts_do_not_alias(self, stack, dtype):
+        model, x, _ = self._setup(stack, dtype)
+        first = model.predict(x)
+        second = model.predict(x)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes()

@@ -169,6 +169,7 @@ class TestManifest:
         assert manifest["obs"]["trace_file"] == "trace_merged.json"
         assert manifest["duration_s"] > 0.0
         from repro.nn.backend import qkernel
+        from repro.nn.layers import epilogue_kernel_in_use
         from repro.nn.optimizers import adam_kernel_in_use
 
         assert manifest["compute"] == {
@@ -177,6 +178,7 @@ class TestManifest:
             "quant_mode": qkernel.quant_mode(),
             "quant_kernel_available": qkernel.available(),
             "adam_kernel_in_use": adam_kernel_in_use(),
+            "epilogue_kernel_in_use": epilogue_kernel_in_use(),
         }
         names = [s["name"] for s in manifest["spans"]]
         assert "experiment.complexity" in names
@@ -193,6 +195,13 @@ class TestManifest:
 
         monkeypatch.setattr(optimizers._ADAM_KERNEL, "get", lambda: None)
         assert _compute_manifest()["adam_kernel_in_use"] is False
+
+    def test_compute_manifest_names_the_numpy_epilogue_path(self, monkeypatch):
+        from repro.experiments.manifest import _compute_manifest
+        from repro.nn import layers
+
+        monkeypatch.setattr(layers._EPILOGUE_KERNEL, "get", lambda: None)
+        assert _compute_manifest()["epilogue_kernel_in_use"] is False
 
 
 class TestBitIdenticalTraining:
