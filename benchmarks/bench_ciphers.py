@@ -13,6 +13,8 @@ from repro.ciphers.gimli_cipher import gimli_aead_reduced_c0_batch
 from repro.ciphers.speck import encrypt_batch as speck_encrypt
 from repro.ciphers.toyspeck import encrypt_batch as toyspeck_encrypt
 from repro.core.scenario import GimliHashScenario
+from repro.search.config import get_scenario_builder
+from repro.search.oracle import DEFAULT_SHARD_SIZE, BiasScoringOracle, _count_shard
 
 BATCH = 1 << 14
 
@@ -33,6 +35,29 @@ def test_gimli_full_rounds(benchmark, gimli_states):
 def test_gimli_8_rounds(benchmark, gimli_states):
     out = benchmark(gimli_permute_batch, gimli_states, 8)
     assert out.shape == gimli_states.shape
+
+
+@pytest.mark.parametrize("shape", ["8192x3"])
+def test_gimli_permute_batch(benchmark, gimli_states, shape):
+    """The search sweep's batch: a stacked oracle block of 8192 rows."""
+    states = gimli_states[:8192]
+    out = benchmark(gimli_permute_batch, states, 3)
+    assert out.shape == states.shape
+
+
+@pytest.mark.parametrize("spec", ["gimli-hash-r5"])
+def test_oracle_count_shard(benchmark, spec):
+    """One 1024-sample shard of the bias oracle scoring a population of
+    48 candidates: six stacked blocks of pipeline and bit count."""
+    builder = get_scenario_builder("gimli-hash")
+    oracle = BiasScoringOracle(builder.prototype(rounds=5), rng=6)
+    candidates = np.zeros((48, 4), dtype=np.uint32)
+    candidates[:, 0] = np.uint32(1) << np.arange(48, dtype=np.uint32) % 32
+    candidates[:, 1] = np.arange(48, dtype=np.uint32)
+    job = (oracle.prototype, DEFAULT_SHARD_SIZE, oracle._children[0],
+           candidates)
+    counts = benchmark(_count_shard, job)
+    assert counts.shape == (48, oracle.prototype.feature_bits)
 
 
 def test_gimli_aead_c0_pipeline(benchmark):

@@ -5,7 +5,9 @@ test suite:
 
 * a *scalar reference* written to read line-for-line like the spec, and
 * a *vectorised batch* version on numpy arrays, used to generate the
-  hundreds of thousands of differential samples the distinguishers need.
+  hundreds of thousands of differential samples the distinguishers need
+  (Gimli's runs as a compiled C kernel, with its numpy spelling as the
+  bit-identical fallback).
 """
 
 from repro.ciphers.base import BlockCipher, Permutation, get_cipher, register_cipher

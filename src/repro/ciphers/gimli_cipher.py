@@ -173,10 +173,11 @@ def gimli_aead_reduced_c0_batch(
             f"expected ({nonce_arr.shape[0]}, 8) keys, got shape {key_arr.shape}"
         )
     rounds_init, rounds_ad = split_round_budget(total_rounds)
-    states = np.concatenate([nonce_arr, key_arr], axis=1).astype(np.uint32)
-    states = gimli_permute_batch(states, rounds_init)
+    states = gimli_permute_batch(
+        np.concatenate([nonce_arr, key_arr], axis=1), rounds_init
+    )
     # Empty associated-data block: padding byte at offset 0, domain byte 47.
-    states = states.copy()
+    # The permutation returns a fresh array, so it is safe to write.
     states[:, 0] ^= np.uint32(1)
     states[:, 11] ^= np.uint32(1) << np.uint32(24)
     states = gimli_permute_batch(states, rounds_ad)

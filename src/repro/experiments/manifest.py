@@ -71,14 +71,16 @@ def _compute_manifest() -> Dict:
 
     ``env`` above records what was *requested*; this records what the
     process actually *resolved* — whether the BLAS thread-count symbols
-    were found, and whether the compiled int8, Adam and Dense+ReLU
-    epilogue kernels passed their load-time self-tests — so two
-    manifests can be compared for compute-substrate drift, not just
-    knob drift.
+    were found, and whether the compiled int8, Adam, Dense+ReLU
+    epilogue, Gimli and bit-count kernels passed their load-time
+    self-tests — so two manifests can be compared for compute-substrate
+    drift, not just knob drift.
     """
+    from repro.ciphers.gimli import gimli_kernel_in_use
     from repro.nn.backend import blas, qkernel
     from repro.nn.layers import epilogue_kernel_in_use
     from repro.nn.optimizers import adam_kernel_in_use
+    from repro.search.oracle import count_kernel_in_use
 
     return {
         "blas_threads_controllable": blas.controllable(),
@@ -86,6 +88,8 @@ def _compute_manifest() -> Dict:
         "quant_kernel_available": qkernel.available(),
         "adam_kernel_in_use": adam_kernel_in_use(),
         "epilogue_kernel_in_use": epilogue_kernel_in_use(),
+        "gimli_kernel_in_use": gimli_kernel_in_use(),
+        "count_kernel_in_use": count_kernel_in_use(),
     }
 
 

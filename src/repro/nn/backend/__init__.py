@@ -4,11 +4,9 @@
   OpenBLAS pool sizes around ``Sequential.fit`` (``"train"``) and the
   serving engine's fused predicts (``"serve"``);
 * :mod:`repro.nn.backend.qkernel` — the compiled int8 inference kernel
-  behind :mod:`repro.nn.quant`;
-* :mod:`repro.nn.backend.cbuild` — the one build/cache/load/self-test
-  path for runtime-compiled C kernels, used by ``qkernel``, by the
-  one-pass Adam step in :mod:`repro.nn.optimizers` and by the
-  Dense+ReLU epilogue in :mod:`repro.nn.layers`.
+  behind :mod:`repro.nn.quant`, built through
+  :mod:`repro.utils.cbuild` like every compiled kernel.
 
-Apart from that epilogue, the layers and losses call numpy directly.
+Apart from the compiled Dense+ReLU epilogue in :mod:`repro.nn.layers`,
+the layers and losses call numpy directly.
 """

@@ -14,7 +14,7 @@ runs ~300x slower than sgemm at MLP III sizes, and the quantize /
 dequantize steps cost several full passes over the activations when
 expressed as separate ufuncs.  This module therefore compiles a small C
 kernel at first use and loads it through ctypes
-(:mod:`repro.nn.backend.cbuild`, shared with the fused Adam step):
+(:mod:`repro.utils.cbuild`, shared with the fused Adam step):
 
 * on AVX-512 VNNI hardware the kernel quantizes four rows at a time
   into an L1-resident scratch block and feeds them straight into a
@@ -51,7 +51,7 @@ and results never depend on how rows are grouped into batches.
 
 Knobs: ``REPRO_QUANT`` (``auto`` | ``kernel`` | ``numpy``) selects the
 compute path; ``REPRO_QUANT_KERNEL_DIR`` overrides where the shared
-object is cached (see :func:`repro.nn.backend.cbuild.cache_dir`).
+object is cached (see :func:`repro.utils.cbuild.cache_dir`).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.nn.backend import cbuild
+from repro.utils import cbuild
 
 QUANT_ENV_VAR = "REPRO_QUANT"
 

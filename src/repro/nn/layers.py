@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import LayerError
-from repro.nn.backend import cbuild
+from repro.utils import cbuild
 from repro.nn.initializers import get_initializer
 
 

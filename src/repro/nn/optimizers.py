@@ -8,7 +8,7 @@ kernel-equivalence tests).
 
 Adam's step is memory-bound: as numpy ufuncs it makes 14 full-array
 passes per parameter.  It therefore runs as one compiled C loop
-(:mod:`repro.nn.backend.cbuild`) that reads ``p``, ``g``, ``m`` and
+(:mod:`repro.utils.cbuild`) that reads ``p``, ``g``, ``m`` and
 ``v`` once and writes ``p``, ``m`` and ``v`` once, with the numpy
 ops' order and one IEEE rounding per op, so it gives the same bits as
 :func:`adam_step_numpy`.  Its float32 entry steps the lanes where an op
@@ -29,7 +29,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.nn.backend import cbuild
+from repro.utils import cbuild
 
 
 class Optimizer:

@@ -37,13 +37,18 @@ Blocked scoring
 ---------------
 
 A shard holds only :data:`DEFAULT_SHARD_SIZE` rows, below the batch
-size at which the numpy cipher kernels run efficiently (the Gimli
-kernel costs about twice as much per row at 1024 rows as at 8192).  So
+size at which the cipher pipelines run efficiently: per row, at 1024
+rows against 8192, the Gimli-Hash pipeline costs 1.3 times as much
+(51 against 38 ns with the compiled Gimli kernel, on a 2-vCPU Xeon
+VM), Gimli-Cipher's 1.5 times and GIFT-64's numpy kernel twice.  So
 a shard scores its candidates in blocks of ``block = BLOCK_ROWS //
 shard_n``: the block's inputs ``P ⊕ δ`` are stacked into one
 ``(block · shard_n, input_words)`` array, the per-sample context is
-tiled to match, and one pipeline call and one bit expansion serve the
-whole block.  Scoring ``k`` candidates therefore costs
+tiled to match, and one pipeline call and one bit count serve the
+whole block.  The count is one compiled pass that XORs each output
+with its base output and adds every bit into its column (see
+:func:`diff_bit_counts_numpy` for its numpy spelling).  Scoring ``k``
+candidates therefore costs
 ``ceil(k / block) + 1`` pipeline calls per shard (the ``+ 1`` is the
 base ciphertexts, computed once and shared).  This relies on the
 row-independence contract of
@@ -54,6 +59,7 @@ score — are the same as one call per candidate.
 
 from __future__ import annotations
 
+import ctypes
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -63,6 +69,7 @@ from repro.errors import SearchError
 from repro.obs import log as obs_log
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
+from repro.utils import cbuild
 from repro.utils.bitops import word_dtype
 from repro.utils.encoding import words_to_bits
 
@@ -115,10 +122,135 @@ def as_difference_words(values, word_width: int) -> np.ndarray:
 
 #: Rows per stacked pipeline call: a shard scores ``BLOCK_ROWS //
 #: shard_n`` candidates at a time (at least one).  About the batch size
-#: where the numpy cipher kernels stop gaining per row while a block's
-#: bit matrix still fits in cache.  Not part of the determinism
+#: where the cipher pipelines stop gaining per row while a block's
+#: outputs still fit in cache.  Not part of the determinism
 #: contract: any value gives the same counts.
 BLOCK_ROWS = 8192
+
+
+def diff_bit_counts_numpy(out: np.ndarray, base_out: np.ndarray,
+                          width: int) -> np.ndarray:
+    """Ones-counts of the bits of ``out ^ base_out``, per candidate.
+
+    ``out`` is ``(m, n, w)`` words (``m`` candidates over the same ``n``
+    samples), ``base_out`` is ``(n, w)``; returns ``(m, w * width)``
+    counts in :func:`words_to_bits` column order.  They are summed in
+    the narrowest unsigned type that holds ``n`` — a count never
+    exceeds it, so the narrow sum is exact.  The numpy spelling of the
+    compiled kernel: its fallback and its self-test reference.
+    """
+    m, n, w = out.shape
+    bits = words_to_bits((out ^ base_out).reshape(m * n, w), width)
+    return bits.reshape(m, n, -1).sum(axis=1, dtype=np.min_scalar_type(n))
+
+
+_COUNT_SOURCE = r"""
+/* counts[c, 8k + j] = the number of samples s whose byte k of
+   out[c, s] ^ base[s] has bit j set, for m candidates over n samples
+   of row_bytes bytes each: the column order of words_to_bits for
+   little-endian words of any width.  Each candidate's n * row_bytes
+   bytes are read as one stream in periods of lcm(row_bytes, 64) bytes,
+   so lane t of a period always holds column t % row_bytes; a byte
+   counter per lane and bit takes up to 255 periods before it is folded
+   into counts.  Returns -1 when the counters cannot be allocated. */
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+int repro_diff_bit_counts(const uint8_t* restrict out,
+                          const uint8_t* restrict base, long m, long n,
+                          long row_bytes, int64_t* restrict counts)
+{
+    long period = row_bytes, total = n * row_bytes;
+    while (period % 64)
+        period += row_bytes;
+    uint8_t* restrict acc = malloc(8 * period);
+    if (!acc)
+        return -1;
+    for (long c = 0; c < m; c++) {
+        int64_t* restrict row = counts + c * 8 * row_bytes;
+        const uint8_t* restrict o = out + c * total;
+        memset(row, 0, 8 * row_bytes * sizeof *row);
+        for (long i0 = 0; i0 < total; i0 += 255 * period) {
+            long end = total - i0 < 255 * period ? total : i0 + 255 * period;
+            long i = i0;
+            memset(acc, 0, 8 * period);
+            for (; i + period <= end; i += period)
+                for (int j = 0; j < 8; j++)
+                    for (long t = 0; t < period; t++)
+                        acc[j * period + t] += ((o[i + t] ^ base[i + t]) >> j) & 1;
+            for (int j = 0; j < 8; j++)
+                for (long t = 0; t < end - i; t++)
+                    acc[j * period + t] += ((o[i + t] ^ base[i + t]) >> j) & 1;
+            for (long t = 0; t < period; t++)
+                for (int j = 0; j < 8; j++)
+                    row[8 * (t % row_bytes) + j] += acc[j * period + t];
+        }
+    }
+    free(acc);
+    return 0;
+}
+"""
+
+
+def _bind_counts(lib):
+    fn = lib.repro_diff_bit_counts
+    fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_long] * 3 + [ctypes.c_void_p]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _kernel_counts(fn, out: np.ndarray, base_out: np.ndarray,
+                   counts: np.ndarray) -> None:
+    """Fill ``counts`` (``(m, w * width)`` int64) as
+    :func:`diff_bit_counts_numpy` would.  The kernel gets raw pointers,
+    so shapes, dtypes and contiguity are checked here first."""
+    m, n, w = out.shape
+    arrays = (out, base_out, counts)
+    if (base_out.shape != (n, w) or base_out.dtype != out.dtype
+            or counts.shape != (m, 8 * w * out.itemsize)
+            or counts.dtype != np.int64
+            or not all(a.flags.c_contiguous for a in arrays)):
+        raise SearchError(
+            f"bit counts of {out.dtype} {out.shape} against {base_out.dtype} "
+            f"{base_out.shape} do not fit {counts.dtype} {counts.shape}"
+        )
+    if fn(out.ctypes.data, base_out.ctypes.data, m, n, w * out.itemsize,
+          counts.ctypes.data):
+        raise MemoryError("no memory for the bit-count kernel's counters")
+
+
+def _counts_self_test(fn) -> bool:
+    """Compiled vs :func:`diff_bit_counts_numpy` for every word width,
+    compared exactly: blocks of one and of several candidates, rows
+    whose length does not divide 64 bytes, sample counts that are not a
+    multiple of any vector width, and a stream long enough that the
+    byte counters are folded more than once."""
+    rng = np.random.default_rng(4669)
+    for width in (8, 16, 32, 64):
+        dtype = word_dtype(width)
+        for m, n, w in ((1, 1, 1), (3, 37, 2), (2, 300, 5), (1, 16400, 1)):
+            base = rng.integers(0, np.iinfo(dtype).max, size=(n, w),
+                                dtype=dtype, endpoint=True)
+            out = rng.integers(0, np.iinfo(dtype).max, size=(m, n, w),
+                               dtype=dtype, endpoint=True)
+            out[0, :n // 2] = base[:n // 2]
+            counts = np.empty((m, w * width), dtype=np.int64)
+            _kernel_counts(fn, out, base, counts)
+            if not np.array_equal(counts,
+                                  diff_bit_counts_numpy(out, base, width)):
+                return False
+    return True
+
+
+_COUNT_KERNEL = cbuild.CompiledKernel(
+    "diff_bit_counts", _COUNT_SOURCE, _bind_counts, _counts_self_test
+)
+
+
+def count_kernel_in_use() -> bool:
+    """True when the oracle counts bits with the compiled kernel."""
+    return _COUNT_KERNEL.get() is not None
 
 
 def _count_shard(job):
@@ -127,32 +259,35 @@ def _count_shard(job):
     ``job`` is ``(prototype, shard_n, seed_child, candidates)``;
     returns an ``(k, feature_bits)`` int64 matrix of ones-counts of the
     output-difference bits over the shard's ``shard_n`` samples.
-    Candidates are scored in stacked blocks (see the module docstring).
-    Each block's counts are summed in the narrowest unsigned type that
-    holds ``shard_n`` — a count never exceeds it, so the narrow sum is
-    exact — and then widened.  Module-level so the grid runner can
-    pickle it into pool workers.
+    Candidates are scored in stacked blocks (see the module docstring),
+    and each block is counted in one compiled pass, or by
+    :func:`diff_bit_counts_numpy` when the kernel is unavailable.
+    Module-level so the grid runner can pickle it into pool workers.
     """
     prototype, shard_n, seed_child, candidates = job
     rng = np.random.Generator(np.random.PCG64(seed_child))
     inputs = prototype.sample_base_inputs(shard_n, rng)
     context = prototype.sample_context(shard_n, rng)
-    base_out = prototype.pipeline(inputs, context)
+    word = word_dtype(prototype.word_width)
+    base_out = np.ascontiguousarray(prototype.pipeline(inputs, context),
+                                    dtype=word)
     deltas = candidates.astype(inputs.dtype)
     block = max(1, BLOCK_ROWS // shard_n)
-    accumulator = np.min_scalar_type(shard_n)
+    fn = _COUNT_KERNEL.get()
     counts = np.empty((deltas.shape[0], prototype.feature_bits), dtype=np.int64)
     for start in range(0, deltas.shape[0], block):
         chunk = deltas[start:start + block]
         m = chunk.shape[0]
         stacked = (inputs ^ chunk[:, np.newaxis]).reshape(m * shard_n, -1)
         tiled = None if context is None else np.concatenate([context] * m)
-        out = prototype.pipeline(stacked, tiled)
-        diff = out.reshape(m, shard_n, -1) ^ base_out
-        bits = words_to_bits(diff.reshape(m * shard_n, -1), prototype.word_width)
-        counts[start:start + m] = bits.reshape(m, shard_n, -1).sum(
-            axis=1, dtype=accumulator
-        )
+        out = prototype.pipeline(stacked, tiled).reshape(m, shard_n, -1)
+        if fn is None:
+            counts[start:start + m] = diff_bit_counts_numpy(
+                out, base_out, prototype.word_width
+            )
+        else:
+            _kernel_counts(fn, np.ascontiguousarray(out, dtype=word),
+                           base_out, counts[start:start + m])
     return counts
 
 

@@ -1,4 +1,4 @@
-"""Shared helpers for neural-network tests: numerical gradient checking
+"""Shared test helpers: numerical gradient checking for the NN layers,
 and whether the compiled kernels are expected to load."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import shutil
 
 import numpy as np
 
-from repro.nn.backend import cbuild
+from repro.utils import cbuild
 
 
 def compiled_kernels_expected() -> bool:

@@ -59,7 +59,12 @@ class TestCommittedBaselines:
                 "test_dense_relu_step[MLP III]",
                 "test_adam_update_dead_units[MLP II]",
             },
-            "ciphers": {"test_gimli_full_rounds", "test_gimli_8_rounds"},
+            "ciphers": {
+                "test_gimli_full_rounds",
+                "test_gimli_8_rounds",
+                "test_gimli_permute_batch[8192x3]",
+                "test_oracle_count_shard[gimli-hash-r5]",
+            },
             "serve": {
                 "serve_engine_classify[rows=8,threads=8]",
                 "serve_http_classify[rows=8,threads=8]",

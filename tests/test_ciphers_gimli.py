@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nn_helpers import compiled_kernels_expected
+from repro.ciphers import gimli
 from repro.ciphers.gimli import (
     GIMLI_ROUNDS,
     GimliPermutation,
+    gimli_kernel_in_use,
     gimli_permute,
     gimli_permute_batch,
+    gimli_permute_numpy,
     gimli_round,
     spbox_column,
 )
@@ -178,3 +182,63 @@ class TestDiffusion:
         bits = np.unpackbits(diff.view(np.uint8), bitorder="little")
         density = bits.mean()
         assert 0.45 < density < 0.55
+
+
+class TestCompiledKernel:
+    """The compiled permutation equals :func:`gimli_permute_numpy` bitwise."""
+
+    def test_kernel_loads_where_a_compiler_is_available(self):
+        if compiled_kernels_expected():
+            assert gimli_kernel_in_use()
+
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 8193])
+    @pytest.mark.parametrize("start", [24, 23, 22, 21])
+    def test_every_window_matches_numpy(self, n, start):
+        states = np.random.default_rng(n + start).integers(
+            0, 2**32, size=(n, 12), dtype=np.uint32
+        )
+        frozen = states.copy()
+        # The numpy reference for ``rounds`` rounds is the one for
+        # ``rounds - 1`` plus round ``start - rounds + 1``.
+        reference = states.copy()
+        for rounds in range(start + 1):
+            got = gimli_permute_batch(states, rounds, start_round=start)
+            assert got.dtype == np.uint32 and got.shape == (n, 12)
+            assert got.tobytes() == reference.tobytes(), rounds
+            gimli_permute_numpy(reference, 1, start - rounds)
+        np.testing.assert_array_equal(states, frozen)
+
+    def test_one_state(self, rng):
+        state = rng.integers(0, 2**32, size=12, dtype=np.uint32)
+        frozen = state.copy()
+        got = gimli_permute_batch(state, 7, start_round=22)
+        expected = gimli_permute_numpy(state[np.newaxis].copy(), 7, 22)[0]
+        assert got.shape == (12,)
+        assert got.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(state, frozen)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "int64"])
+    def test_any_input_layout(self, rng, layout):
+        base = rng.integers(0, 2**32, size=(37, 24), dtype=np.uint32)
+        states = {
+            "fortran": np.asfortranarray(base[:, :12]),
+            "strided": base[::2, ::2],
+            "int64": base[:, 12:].astype(np.int64),
+        }[layout]
+        frozen = states.copy()
+        got = gimli_permute_batch(states, 6)
+        expected = gimli_permute_numpy(
+            np.array(states, dtype=np.uint32, order="C"), 6, GIMLI_ROUNDS
+        )
+        assert got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(states, frozen)
+
+    def test_numpy_fallback_gives_the_same_bits(self, rng, monkeypatch):
+        states = rng.integers(0, 2**32, size=(33, 12), dtype=np.uint32)
+        compiled = gimli_permute_batch(states, 9, start_round=23)
+        monkeypatch.setattr(gimli._GIMLI_KERNEL, "get", lambda: None)
+        assert not gimli_kernel_in_use()
+        assert gimli_permute_batch(states, 9, start_round=23).tobytes() == (
+            compiled.tobytes()
+        )

@@ -19,8 +19,10 @@ import numpy as np
 import pytest
 
 from nn_helpers import compiled_kernels_expected
+from repro.ciphers import gimli
+from repro.ciphers.gimli import gimli_kernel_in_use, gimli_permute_batch
 from repro.nn import layers, optimizers
-from repro.nn.backend import cbuild, qkernel
+from repro.nn.backend import qkernel
 from repro.nn.conv import Conv1D
 from repro.nn.layers import (
     Dense,
@@ -37,6 +39,10 @@ from repro.nn.losses import CategoricalCrossentropy, one_hot
 from repro.nn.model import Sequential
 from repro.nn.optimizers import SGD, Adam, adam_kernel_in_use, adam_step_numpy
 from repro.nn.quant import _Int8Linear, int8_affine, quantize_weight
+from repro.search import oracle as search_oracle
+from repro.search.config import get_scenario_builder
+from repro.search.oracle import count_kernel_in_use
+from repro.utils import cbuild
 
 
 def _toy_batch(seed=0, n=32, features=16, classes=3):
@@ -338,6 +344,25 @@ def _mlp_fit_bytes():
     ]
 
 
+def _cipher_search_bytes():
+    """A Gimli batch over a round window not starting at 24, and the
+    bias oracle's Gimli-Hash counts over two blocks of candidates."""
+    states = np.random.default_rng(13).integers(
+        0, 2**32, size=(40, 12), dtype=np.uint32
+    )
+    oracle = search_oracle.BiasScoringOracle(
+        get_scenario_builder("gimli-hash").prototype(rounds=3),
+        n_samples=600, rng=14,
+    )
+    candidates = np.zeros((search_oracle.BLOCK_ROWS // 600 + 1, 4), np.uint32)
+    candidates[:, 1] = 1 << np.arange(candidates.shape[0], dtype=np.uint32)
+    job = (oracle.prototype, 600, oracle._children[0], candidates)
+    return [
+        gimli_permute_batch(states, 7, start_round=23).tobytes(),
+        search_oracle._count_shard(job).tobytes(),
+    ]
+
+
 def _truncate(path):
     with open(path, "r+b") as handle:
         handle.truncate(os.path.getsize(path) // 3)
@@ -358,14 +383,15 @@ class TestKernelCacheFaults:
     def kernels(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cbuild.KERNEL_DIR_ENV_VAR, str(tmp_path))
         monkeypatch.delenv("REPRO_QUANT", raising=False)
-        trio = (optimizers._ADAM_KERNEL, qkernel._KERNEL,
-                layers._EPILOGUE_KERNEL)
-        for kernel in trio:
+        five = (optimizers._ADAM_KERNEL, qkernel._KERNEL,
+                layers._EPILOGUE_KERNEL, gimli._GIMLI_KERNEL,
+                search_oracle._COUNT_KERNEL)
+        for kernel in five:
             monkeypatch.setattr(kernel, "_loaded", False)
             monkeypatch.setattr(kernel, "_entry", None)
             # A cached library this process has never loaded.
             assert cbuild._build(kernel.source, kernel.flags, kernel.so_path())
-        return trio
+        return five
 
     def _assert_results_unchanged(self, monkeypatch):
         for dtype in (np.float32, np.float64):
@@ -373,10 +399,12 @@ class TestKernelCacheFaults:
                 dtype, 20, ODD_SHAPES
             )
         assert _int8_bits("auto", monkeypatch) == _int8_bits("numpy", monkeypatch)
-        fused = _mlp_fit_bytes()
+        compiled = (_mlp_fit_bytes(), _cipher_search_bytes())
         with monkeypatch.context() as patch:
-            patch.setattr(layers._EPILOGUE_KERNEL, "get", lambda: None)
-            assert _mlp_fit_bytes() == fused
+            for kernel in (layers._EPILOGUE_KERNEL, gimli._GIMLI_KERNEL,
+                           search_oracle._COUNT_KERNEL):
+                patch.setattr(kernel, "get", lambda: None)
+            assert (_mlp_fit_bytes(), _cipher_search_bytes()) == compiled
 
     @pytest.mark.parametrize("corrupt", [_truncate, _garble])
     def test_corrupt_cache_is_rebuilt(self, kernels, corrupt, monkeypatch):
@@ -410,6 +438,8 @@ class TestKernelCacheFaults:
         assert not adam_kernel_in_use()
         assert not qkernel.available()
         assert not epilogue_kernel_in_use()
+        assert not gimli_kernel_in_use()
+        assert not count_kernel_in_use()
         self._assert_results_unchanged(monkeypatch)
 
 

@@ -168,9 +168,11 @@ class TestManifest:
         assert manifest["run_id"]
         assert manifest["obs"]["trace_file"] == "trace_merged.json"
         assert manifest["duration_s"] > 0.0
+        from repro.ciphers.gimli import gimli_kernel_in_use
         from repro.nn.backend import qkernel
         from repro.nn.layers import epilogue_kernel_in_use
         from repro.nn.optimizers import adam_kernel_in_use
+        from repro.search.oracle import count_kernel_in_use
 
         assert manifest["compute"] == {
             "blas_threads_controllable": manifest["compute"][
@@ -179,6 +181,8 @@ class TestManifest:
             "quant_kernel_available": qkernel.available(),
             "adam_kernel_in_use": adam_kernel_in_use(),
             "epilogue_kernel_in_use": epilogue_kernel_in_use(),
+            "gimli_kernel_in_use": gimli_kernel_in_use(),
+            "count_kernel_in_use": count_kernel_in_use(),
         }
         names = [s["name"] for s in manifest["spans"]]
         assert "experiment.complexity" in names
@@ -202,6 +206,19 @@ class TestManifest:
 
         monkeypatch.setattr(layers._EPILOGUE_KERNEL, "get", lambda: None)
         assert _compute_manifest()["epilogue_kernel_in_use"] is False
+
+    def test_compute_manifest_names_the_numpy_cipher_search_paths(
+        self, monkeypatch
+    ):
+        from repro.ciphers import gimli
+        from repro.experiments.manifest import _compute_manifest
+        from repro.search import oracle
+
+        monkeypatch.setattr(gimli._GIMLI_KERNEL, "get", lambda: None)
+        monkeypatch.setattr(oracle._COUNT_KERNEL, "get", lambda: None)
+        compute = _compute_manifest()
+        assert compute["gimli_kernel_in_use"] is False
+        assert compute["count_kernel_in_use"] is False
 
 
 class TestBitIdenticalTraining:

@@ -5,13 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from nn_helpers import compiled_kernels_expected
 from repro.errors import SearchError
+from repro.search import oracle as oracle_module
 from repro.search.config import get_scenario_builder
 from repro.search.oracle import (
     BLOCK_ROWS,
     DEFAULT_SHARD_SIZE,
     BiasScoringOracle,
     _count_shard,
+    count_kernel_in_use,
 )
 from repro.utils.encoding import words_to_bits
 
@@ -256,6 +259,62 @@ class TestBlockedScoring:
         np.testing.assert_array_equal(
             _count_shard(job), _count_shard_per_candidate(job)
         )
+
+
+KERNEL_FAMILIES = [
+    ("toyspeck", {"rounds": 2}),
+    ("gift16", {"rounds": 2}),
+    ("gimli-hash", {"rounds": 3}),
+    ("gift64", {"rounds": 2}),
+]
+
+
+class TestCountKernel:
+    """The compiled bit count equals the numpy counting exactly."""
+
+    def test_kernel_loads_where_a_compiler_is_available(self):
+        if compiled_kernels_expected():
+            assert count_kernel_in_use()
+
+    def test_mismatched_buffers_never_reach_the_kernel(self):
+        out = np.zeros((2, 5, 3), dtype=np.uint16)
+        base = np.zeros((5, 3), dtype=np.uint16)
+        calls = []
+        for bad in (
+            (out, base, np.zeros((2, 40), dtype=np.int64)),
+            (out, base.astype(np.uint32), np.zeros((2, 48), dtype=np.int64)),
+            (out, base[:4], np.zeros((2, 48), dtype=np.int64)),
+            (out, base, np.zeros((2, 96), dtype=np.int64)[:, ::2]),
+        ):
+            with pytest.raises(SearchError):
+                oracle_module._kernel_counts(
+                    lambda *args: calls.append(args), *bad
+                )
+        assert not calls
+
+    @pytest.mark.parametrize(
+        "family,params", KERNEL_FAMILIES,
+        ids=[name for name, _ in KERNEL_FAMILIES],
+    )
+    def test_counts_match_numpy(self, family, params, monkeypatch):
+        builder = get_scenario_builder(family)
+        oracle = BiasScoringOracle(
+            builder.prototype(**params), n_samples=SHORT_TAIL_SAMPLES, rng=9
+        )
+        # Three full blocks and a one-candidate last block, over a full
+        # shard and a short one.
+        candidates = _random_candidates(builder, params, 3 * BLOCK + 1, seed=2)
+        jobs = [
+            (oracle.prototype, shard_n, child, candidates)
+            for shard_n, child in zip(oracle._sizes, oracle._children)
+        ]
+        compiled = [_count_shard(job) for job in jobs]
+        monkeypatch.setattr(oracle_module._COUNT_KERNEL, "get", lambda: None)
+        assert not count_kernel_in_use()
+        for job, counts in zip(jobs, compiled):
+            expected = _count_shard(job)
+            assert counts.dtype == expected.dtype == np.int64
+            np.testing.assert_array_equal(counts, expected)
 
 
 class TestPinnedScores:
