@@ -13,9 +13,12 @@ Two environment knobs set per-domain thread counts:
   predict (:class:`~repro.serve.engine.MicroBatchEngine`).
 
 Unset knobs make :func:`thread_domain` a shared no-op context manager
-(zero overhead on the hot path).  Thread-count changes never alter
-results — OpenBLAS GEMM output is identical for any pool size — so
-these knobs, like every other ``REPRO_*`` knob, only move wall-clock.
+(zero overhead on the hot path).  :func:`pinned_threads` pins the pool
+for one block without a knob (the search pipeline trains on one
+thread); a domain knob set inside that block still wins.  Thread-count
+changes never alter results — OpenBLAS GEMM output is identical for
+any pool size — so these knobs, like every other ``REPRO_*`` knob,
+only move wall-clock.
 
 The control handle is resolved lazily by scanning the loaded shared
 objects for an OpenBLAS with a ``*set_num_threads*`` entry point
@@ -137,7 +140,9 @@ def domain_threads(domain: str) -> Optional[int]:
 
 
 @contextlib.contextmanager
-def _pinned(count: int):
+def pinned_threads(count: int):
+    """Run the block with a BLAS pool of ``count`` threads, then restore
+    the previous size; a no-op when the BLAS is uncontrollable."""
     previous = get_blas_threads()
     if previous is None or not set_blas_threads(count):
         yield
@@ -171,4 +176,4 @@ def thread_domain(domain: str):
     count = domain_threads(domain)
     if count is None:
         return _NOOP
-    return _pinned(count)
+    return pinned_threads(count)

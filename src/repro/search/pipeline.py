@@ -34,6 +34,7 @@ from repro.core.distinguisher import MLDistinguisher
 from repro.errors import SearchError
 from repro.jobs import bind_run, run_cells
 from repro.nn.architectures import build_mlp
+from repro.nn.backend import blas
 from repro.obs import log as obs_log
 from repro.obs.trace import span
 from repro.search.config import ScenarioSpec
@@ -47,6 +48,15 @@ _log = obs_log.get_logger("repro.search")
 DEFAULT_TRAIN_SAMPLES = 12_000
 DEFAULT_TRAIN_EPOCHS = 3
 DEFAULT_HIDDEN = (64, 128)
+
+#: OpenBLAS pool size for the training stage.  Its GEMMs are tens of
+#: microseconds at the default widths and batch, so a second thread
+#: saves little, and it stalls every GEMM whenever the other core is
+#: busy or waking from idle: with one core loaded by another process a
+#: 5-spec sweep's Dense time went from 0.13 to 0.5-0.8 s on a 2-vCPU
+#: VM.  ``REPRO_BLAS_THREADS_TRAIN`` still overrides it inside ``fit``.
+#: The thread count never changes results.
+TRAIN_BLAS_THREADS = 1
 
 
 def run_search(
@@ -118,7 +128,8 @@ def run_search_pipeline(
             rng=seed,
             workers=workers,
         )
-        with span("search.train", samples=num_samples):
+        with span("search.train", samples=num_samples), \
+                blas.pinned_threads(TRAIN_BLAS_THREADS):
             report = distinguisher.train(
                 num_samples,
                 significance=float(train.get("significance", 1e-3)),
