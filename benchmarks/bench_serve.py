@@ -5,8 +5,9 @@ concurrency property — p50/p95/p99 latency under parallel clients,
 sustained throughput, and how well the engine coalesces micro-batches.
 This harness therefore drives a real :class:`ServeServer` on a loopback
 port (plus the engine directly, to isolate HTTP overhead) with a thread
-pool of closed-loop clients, and distils the measurements into the same
-``BENCH_<suite>.json`` schema as the other suites (``name`` /
+pool of closed-loop clients, times the decode of one 512-row
+online-phase request body on its own, and distils the measurements
+into the same ``BENCH_<suite>.json`` schema as the other suites (``name`` /
 ``mean_s`` / ``stddev_s`` / ``rounds``), with serving extras on each
 entry (``p50_s``/``p95_s``/``p99_s``, ``throughput_rps``, batch-size
 histogram, max queue depth).  ``check_regression.py`` gates on the mean
@@ -111,6 +112,24 @@ def run(quick: bool, output_dir: Path) -> Path:
         np.float32
     )
     benchmarks = []
+
+    # 0. Request-body decode: one 512-row /v1/distinguish body of integer
+    # features, as the online phase posts it, through the server's decoder.
+    from repro.serve.body import decode_body
+
+    decode_rows = 512
+    raw = json.dumps({
+        "model": "bench",
+        "session": "s00000001",
+        "features": rng.integers(
+            0, 2, (decode_rows, scenario.feature_bits)).tolist(),
+        "labels": rng.integers(0, 2, decode_rows).tolist(),
+    }).encode()
+    decode_body(raw)  # loads the kernel outside the timed calls
+    latencies, wall = _drive(lambda i: decode_body(raw), requests, 1)
+    benchmarks.append(
+        _entry(f"serve_decode_body[rows={decode_rows}]", latencies, wall)
+    )
 
     # 1. Engine direct: micro-batching + fused predict, no HTTP.
     engine_metrics = ServeMetrics()

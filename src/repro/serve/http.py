@@ -4,7 +4,9 @@ Endpoints (all JSON in / JSON out):
 
 * ``GET  /healthz``        — liveness: model count, uptime, rolling
   SLO verdict (``?verbose=1`` attaches the full error-rate/p99
-  evaluation; breaches log ``serve.slo_breach`` events).
+  evaluation and whether request bodies are decoded by the compiled
+  kernel of :mod:`repro.serve.body`; breaches log
+  ``serve.slo_breach`` events).
 * ``GET  /v1/models``      — registry listing (manifest summaries).
 * ``GET  /v1/metrics``     — the shared :class:`ServeMetrics` snapshot;
   ``?format=prometheus`` renders the backing
@@ -22,9 +24,10 @@ Endpoints (all JSON in / JSON out):
   return the running accuracy, progress, and — once the budget is met —
   the CIPHER/RANDOM verdict.
 
-Error mapping: 400 for malformed requests (including non-finite
-features, a non-numeric ``timeout_s`` and labels that are not class
-indices), 404 for unknown models or sessions, 503 with ``Retry-After``
+Request bodies are decoded by :func:`repro.serve.body.decode_body`.
+Error mapping: 400 for malformed requests (including non-finite or
+non-numeric features, a non-numeric ``timeout_s`` and labels that are
+not class indices), 404 for unknown models or sessions, 503 with ``Retry-After``
 when the engine sheds load, 504 when a request times out in the queue.
 The server and handler build on :mod:`repro.utils.http`;
 :meth:`ServeServer.stop` performs a graceful shutdown (stop accepting,
@@ -33,7 +36,6 @@ join the serving thread, drain the engines).
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import time
@@ -51,6 +53,7 @@ from repro.errors import (
 )
 from repro.obs import events as obs_events
 from repro.obs import log as obs_log
+from repro.serve.body import body_kernel_in_use, decode_body
 from repro.serve.engine import MicroBatchEngine
 from repro.serve.metrics import ServeMetrics, SloPolicy
 from repro.serve.registry import ModelRecord, ModelRegistry
@@ -128,7 +131,8 @@ class ServeService:
         window, thresholds from ``REPRO_OBS_SLO_*``) is evaluated on
         every call; a breach degrades the reported status and emits a
         ``serve.slo_breach`` structured log line + run event.  The full
-        verdict is attached only with ``?verbose=1``.
+        verdict, and whether request bodies go through the compiled
+        decode kernel, are attached only with ``?verbose=1``.
         """
         slo = SloPolicy.from_env().evaluate(self.metrics)
         if slo["status"] == "breached":
@@ -154,6 +158,7 @@ class ServeService:
         }
         if verbose:
             payload["slo"] = slo
+            payload["body_kernel_in_use"] = body_kernel_in_use()
         return payload
 
     def list_models(self) -> dict:
@@ -165,9 +170,18 @@ class ServeService:
         if features is None:
             raise HttpError(400, "request body needs a 'features' array")
         try:
-            array = np.asarray(features, dtype=np.float64)
+            array = np.asarray(features)
+            if array.dtype.kind == "O":
+                # Ints beyond int64, nulls or nested objects: numpy's own
+                # float conversion decides, as it always has.
+                array = np.asarray(features, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
             raise HttpError(400, f"malformed 'features': {exc}") from None
+        if array.dtype.kind not in "iuf":
+            raise HttpError(
+                400, f"'features' must be JSON numbers, got {array.dtype}"
+            )
+        array = array.astype(np.float64, copy=False)
         if array.ndim == 1:
             array = array[None, :]
         if array.ndim != 2 or array.shape[0] == 0:
@@ -299,7 +313,7 @@ class _Handler(JsonHandler):
             raise HttpError(400, "POST body must be non-empty JSON")
         raw = self.rfile.read(length)
         try:
-            body = json.loads(raw)
+            body = decode_body(raw)
         except (ValueError, RecursionError) as exc:
             raise HttpError(400, f"invalid JSON body: {exc}") from None
         if not isinstance(body, dict):

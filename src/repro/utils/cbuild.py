@@ -1,8 +1,9 @@
 """Build, cache and load the runtime-compiled C kernels.
 
 The int8 affine, the Adam step and the Dense+ReLU epilogue of
-:mod:`repro.nn`, the Gimli permutation of :mod:`repro.ciphers.gimli`
-and the bit counts of :mod:`repro.search.oracle` all go through here.
+:mod:`repro.nn`, the Gimli permutation of :mod:`repro.ciphers.gimli`,
+the bit counts of :mod:`repro.search.oracle` and the request-body
+feature matrices of :mod:`repro.serve.body` all go through here.
 A :class:`CompiledKernel` is a piece of C source that is compiled at
 first use with the toolchain already on the host, loaded through
 ctypes and checked by a bitwise self-test before anything may call

@@ -69,6 +69,7 @@ class TestCommittedBaselines:
                 "serve_engine_classify[rows=8,threads=8]",
                 "serve_http_classify[rows=8,threads=8]",
                 "serve_http_distinguish[rows=8,threads=8]",
+                "serve_decode_body[rows=512]",
             },
             "obs": {
                 "obs_off_mlp_iii_train_step[batch=256,float32]",

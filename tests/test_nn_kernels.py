@@ -42,6 +42,8 @@ from repro.nn.quant import _Int8Linear, int8_affine, quantize_weight
 from repro.search import oracle as search_oracle
 from repro.search.config import get_scenario_builder
 from repro.search.oracle import count_kernel_in_use
+from repro.serve import body as serve_body
+from repro.serve.body import body_kernel_in_use
 from repro.utils import cbuild
 
 
@@ -363,6 +365,15 @@ def _cipher_search_bytes():
     ]
 
 
+def _body_bytes():
+    """A request body's feature matrix, as the server hands it on."""
+    body = serve_body.decode_body(
+        b'{"model": "m", "features": [[0, 1, -0, -0.0, 1.0], [7, 0, 1, 0, -3]],'
+        b' "labels": [0, 1]}'
+    )
+    return np.asarray(body["features"], dtype=np.float64).tobytes()
+
+
 def _truncate(path):
     with open(path, "r+b") as handle:
         handle.truncate(os.path.getsize(path) // 3)
@@ -383,15 +394,15 @@ class TestKernelCacheFaults:
     def kernels(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cbuild.KERNEL_DIR_ENV_VAR, str(tmp_path))
         monkeypatch.delenv("REPRO_QUANT", raising=False)
-        five = (optimizers._ADAM_KERNEL, qkernel._KERNEL,
-                layers._EPILOGUE_KERNEL, gimli._GIMLI_KERNEL,
-                search_oracle._COUNT_KERNEL)
-        for kernel in five:
+        six = (optimizers._ADAM_KERNEL, qkernel._KERNEL,
+               layers._EPILOGUE_KERNEL, gimli._GIMLI_KERNEL,
+               search_oracle._COUNT_KERNEL, serve_body._MATRIX_KERNEL)
+        for kernel in six:
             monkeypatch.setattr(kernel, "_loaded", False)
             monkeypatch.setattr(kernel, "_entry", None)
             # A cached library this process has never loaded.
             assert cbuild._build(kernel.source, kernel.flags, kernel.so_path())
-        return five
+        return six
 
     def _assert_results_unchanged(self, monkeypatch):
         for dtype in (np.float32, np.float64):
@@ -399,12 +410,14 @@ class TestKernelCacheFaults:
                 dtype, 20, ODD_SHAPES
             )
         assert _int8_bits("auto", monkeypatch) == _int8_bits("numpy", monkeypatch)
-        compiled = (_mlp_fit_bytes(), _cipher_search_bytes())
+        compiled = (_mlp_fit_bytes(), _cipher_search_bytes(), _body_bytes())
         with monkeypatch.context() as patch:
             for kernel in (layers._EPILOGUE_KERNEL, gimli._GIMLI_KERNEL,
-                           search_oracle._COUNT_KERNEL):
+                           search_oracle._COUNT_KERNEL, serve_body._MATRIX_KERNEL):
                 patch.setattr(kernel, "get", lambda: None)
-            assert (_mlp_fit_bytes(), _cipher_search_bytes()) == compiled
+            assert (
+                _mlp_fit_bytes(), _cipher_search_bytes(), _body_bytes()
+            ) == compiled
 
     @pytest.mark.parametrize("corrupt", [_truncate, _garble])
     def test_corrupt_cache_is_rebuilt(self, kernels, corrupt, monkeypatch):
@@ -440,6 +453,7 @@ class TestKernelCacheFaults:
         assert not epilogue_kernel_in_use()
         assert not gimli_kernel_in_use()
         assert not count_kernel_in_use()
+        assert not body_kernel_in_use()
         self._assert_results_unchanged(monkeypatch)
 
 

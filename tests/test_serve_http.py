@@ -364,7 +364,8 @@ FEATURE_ROWS = st.lists(
 SESSION = "s00000001"  # the first session a fresh server mints
 
 #: Malformed bodies that must answer 400.  Unvalidated, they produce a
-#: 500, a 200 carrying ``NaN`` tokens, or a silently wrong session update.
+#: 500, a 200 carrying ``NaN`` tokens, a 200 computed from strings or
+#: booleans read as numbers, or a silently wrong session update.
 BAD_CLASSIFY = {
     "timeout_not_a_number": {"model": "unit", "features": [[0] * 6],
                              "timeout_s": "x"},
@@ -373,6 +374,8 @@ BAD_CLASSIFY = {
     "nan_features": {"model": "unit", "features": [[float("nan")] * 6]},
     "inf_features": {"model": "unit", "features": [[float("inf")] + [0] * 5]},
     "huge_int_features": {"model": "unit", "features": [[10 ** 400] * 6]},
+    "string_features": {"model": "unit", "features": [["1", "0"] * 3]},
+    "boolean_features": {"model": "unit", "features": [[True, False] * 3]},
 }
 BAD_LABELS = {
     "strings": ["a", "b"],
