@@ -188,7 +188,7 @@ def run(quick: bool) -> dict:
     return {
         "suite": "quant",
         "quick": bool(quick),
-        "quant_kernel": qkernel.available(),
+        "quant_kernel": qkernel.kernel_in_use(),
         "benchmarks": entries,
     }
 

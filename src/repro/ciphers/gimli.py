@@ -256,11 +256,6 @@ _GIMLI_KERNEL = cbuild.CompiledKernel(
 )
 
 
-def gimli_kernel_in_use() -> bool:
-    """True when :func:`gimli_permute_batch` runs the compiled kernel."""
-    return _GIMLI_KERNEL.get() is not None
-
-
 def gimli_permute_batch(
     states: np.ndarray, rounds: int = GIMLI_ROUNDS, start_round: int = GIMLI_ROUNDS
 ) -> np.ndarray:

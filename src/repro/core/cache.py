@@ -28,13 +28,13 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from typing import Optional, Tuple
 from zipfile import BadZipFile
 
 import numpy as np
 
 from repro.errors import DistinguisherError
+from repro.utils.atomic import atomic_savez
 
 #: Bump when the sharded-generation protocol changes (shard layout,
 #: regroup order, ...) so stale entries can never be returned.
@@ -154,16 +154,4 @@ class DatasetCache:
     def store(self, key: str, x: np.ndarray, y: np.ndarray) -> None:
         """Atomically persist ``(x, y)`` under ``key``."""
         os.makedirs(self.root, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{key[:16]}-", suffix=".npz.tmp", dir=self.root
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, x=x, y=y)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_savez(self._path(key), x=x, y=y)

@@ -40,13 +40,16 @@ from repro.obs import agg as obs_agg
 from repro.obs import context as obs_context
 from repro.obs import events as obs_events
 from repro.obs import trace
+from repro.utils import cbuild
 from repro.utils.atomic import atomic_write
 
 #: Manifest schema version, bumped on incompatible layout changes.
 #: v2: atomic writes, ``workers`` (requested/resolved), ``cells``.
 #: v3: ``run_id`` + ``obs`` (merged trace / Prometheus artefacts,
 #: contributing processes) — the run is now the unit of telemetry.
-MANIFEST_VERSION = 3
+#: v4: ``compute.kernels`` maps every compiled kernel to whether it
+#: resolved, in place of one key per kernel.
+MANIFEST_VERSION = 4
 
 
 def _scalar_args(kwargs: Dict) -> Dict:
@@ -71,25 +74,18 @@ def _compute_manifest() -> Dict:
 
     ``env`` above records what was *requested*; this records what the
     process actually *resolved* — whether the BLAS thread-count symbols
-    were found, and whether the compiled int8, Adam, Dense+ReLU
-    epilogue, Gimli and bit-count kernels passed their load-time
-    self-tests — so two manifests can be compared for compute-substrate
-    drift, not just knob drift.
+    were found, and which compiled kernels passed their load-time
+    self-tests (:func:`repro.utils.cbuild.kernels_in_use`) — so two
+    manifests can be compared for compute-substrate drift, not just
+    knob drift.  Under ``quant_mode`` ``numpy``, ``kernels["qkernel"]``
+    can read True although no int8 matmul runs through it.
     """
-    from repro.ciphers.gimli import gimli_kernel_in_use
     from repro.nn.backend import blas, qkernel
-    from repro.nn.layers import epilogue_kernel_in_use
-    from repro.nn.optimizers import adam_kernel_in_use
-    from repro.search.oracle import count_kernel_in_use
 
     return {
         "blas_threads_controllable": blas.controllable(),
         "quant_mode": qkernel.quant_mode(),
-        "quant_kernel_available": qkernel.available(),
-        "adam_kernel_in_use": adam_kernel_in_use(),
-        "epilogue_kernel_in_use": epilogue_kernel_in_use(),
-        "gimli_kernel_in_use": gimli_kernel_in_use(),
-        "count_kernel_in_use": count_kernel_in_use(),
+        "kernels": cbuild.kernels_in_use(),
     }
 
 

@@ -423,17 +423,12 @@ def _load():
     return _KERNEL.get()
 
 
-def available() -> bool:
-    """True when the compiled kernel is loaded and self-tested."""
-    return _load() is not None
-
-
 def kernel_in_use() -> bool:
     """True when int8 matmuls will run through the compiled kernel."""
     mode = quant_mode()
     if mode == "numpy":
         return False
-    if not available():
+    if _load() is None:
         if mode == "kernel":
             raise TrainingError(
                 "REPRO_QUANT=kernel but the compiled int8 kernel is "

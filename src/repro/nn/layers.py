@@ -205,11 +205,6 @@ _EPILOGUE_KERNEL = cbuild.CompiledKernel(
 )
 
 
-def epilogue_kernel_in_use() -> bool:
-    """True when paired Dense+ReLU layers run the compiled epilogue."""
-    return _EPILOGUE_KERNEL.get() is not None
-
-
 class Layer:
     """Base class for all layers."""
 

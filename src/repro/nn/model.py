@@ -57,6 +57,7 @@ from repro.nn.losses import (
 )
 from repro.nn.metrics import get_metric
 from repro.nn.optimizers import OPTIMIZERS, Optimizer, get_optimizer
+from repro.utils.atomic import atomic_savez
 from repro.utils.rng import make_rng
 
 _LAYER_MODULES = (layers_mod, conv_mod, recurrent_mod)
@@ -545,7 +546,7 @@ class Sequential:
         for i, layer in enumerate(self.layers):
             for j, param in enumerate(layer.params):
                 arrays[f"layer{i}_param{j}"] = param
-        np.savez(path, **arrays)
+        atomic_savez(path, **arrays)
 
     @classmethod
     def load(cls, path: str) -> "Sequential":

@@ -397,11 +397,6 @@ _ADAM_KERNEL = cbuild.CompiledKernel(
 )
 
 
-def adam_kernel_in_use() -> bool:
-    """True when Adam steps run through the compiled kernel."""
-    return _ADAM_KERNEL.get() is not None
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2014) with Keras default hyper-parameters.
 

@@ -60,6 +60,7 @@ from repro.nn.backend import qkernel
 from repro.nn.conv import Conv1D
 from repro.nn.layers import Dense
 from repro.nn.model import Sequential, _layer_class
+from repro.utils.atomic import atomic_savez
 
 #: Supported quantization schemes.
 SCHEMES = ("int8", "float16")
@@ -385,7 +386,7 @@ class QuantizedSequential:
             )
         }
         arrays.update(self.arrays)
-        np.savez(path, **arrays)
+        atomic_savez(path, **arrays)
 
     @classmethod
     def load(cls, path: str) -> "QuantizedSequential":

@@ -248,11 +248,6 @@ _COUNT_KERNEL = cbuild.CompiledKernel(
 )
 
 
-def count_kernel_in_use() -> bool:
-    """True when the oracle counts bits with the compiled kernel."""
-    return _COUNT_KERNEL.get() is not None
-
-
 def _count_shard(job):
     """Per-shard bit counts for a batch of candidates.
 

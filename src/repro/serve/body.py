@@ -187,11 +187,6 @@ _MATRIX_KERNEL = cbuild.CompiledKernel(
 )
 
 
-def body_kernel_in_use() -> bool:
-    """True when request feature matrices are parsed by the compiled kernel."""
-    return _MATRIX_KERNEL.get() is not None
-
-
 _scan_once = json.JSONDecoder().scan_once
 _ws = WHITESPACE.match
 

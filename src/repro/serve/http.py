@@ -4,8 +4,8 @@ Endpoints (all JSON in / JSON out):
 
 * ``GET  /healthz``        — liveness: model count, uptime, rolling
   SLO verdict (``?verbose=1`` attaches the full error-rate/p99
-  evaluation and whether request bodies are decoded by the compiled
-  kernel of :mod:`repro.serve.body`; breaches log
+  evaluation and which compiled kernels this process runs,
+  :func:`repro.utils.cbuild.kernels_in_use`; breaches log
   ``serve.slo_breach`` events).
 * ``GET  /v1/models``      — registry listing (manifest summaries).
 * ``GET  /v1/metrics``     — the shared :class:`ServeMetrics` snapshot;
@@ -53,11 +53,12 @@ from repro.errors import (
 )
 from repro.obs import events as obs_events
 from repro.obs import log as obs_log
-from repro.serve.body import body_kernel_in_use, decode_body
+from repro.serve.body import decode_body
 from repro.serve.engine import MicroBatchEngine
 from repro.serve.metrics import ServeMetrics, SloPolicy
 from repro.serve.registry import ModelRecord, ModelRegistry
 from repro.serve.sessions import SessionStore
+from repro.utils import cbuild
 from repro.utils.http import HttpError, HttpServer, JsonHandler
 
 _log = obs_log.get_logger("repro.serve")
@@ -131,8 +132,8 @@ class ServeService:
         window, thresholds from ``REPRO_OBS_SLO_*``) is evaluated on
         every call; a breach degrades the reported status and emits a
         ``serve.slo_breach`` structured log line + run event.  The full
-        verdict, and whether request bodies go through the compiled
-        decode kernel, are attached only with ``?verbose=1``.
+        verdict, and the map of which compiled kernels this process
+        runs, are attached only with ``?verbose=1``.
         """
         slo = SloPolicy.from_env().evaluate(self.metrics)
         if slo["status"] == "breached":
@@ -158,7 +159,7 @@ class ServeService:
         }
         if verbose:
             payload["slo"] = slo
-            payload["body_kernel_in_use"] = body_kernel_in_use()
+            payload["kernels"] = cbuild.kernels_in_use()
         return payload
 
     def list_models(self) -> dict:

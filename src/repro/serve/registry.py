@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -245,20 +244,8 @@ class ModelRegistry:
             manifest["extra"] = dict(extra)
 
         # Weights first, manifest last: a manifest is the commit record,
-        # so a visible manifest always points at complete weights.  The
-        # temp name must end in ".npz" or np.savez appends the suffix
-        # itself and the replace would move an empty file.
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp.npz")
-        os.close(fd)
-        try:
-            model.save(tmp)
-            os.replace(tmp, self._model_path(model_id))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        # so a visible manifest always points at complete weights.
+        model.save(self._model_path(model_id))
         atomic_write(
             self._manifest_path(model_id),
             (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),
@@ -340,17 +327,7 @@ class ModelRegistry:
         }
         if extra:
             manifest["extra"] = dict(extra)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp.npz")
-        os.close(fd)
-        try:
-            quantized.save(tmp)
-            os.replace(tmp, self._model_path(model_id))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        quantized.save(self._model_path(model_id))
         atomic_write(
             self._manifest_path(model_id),
             (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode(),

@@ -1,9 +1,13 @@
 """Build, cache and load the runtime-compiled C kernels.
 
-The int8 affine, the Adam step and the Dense+ReLU epilogue of
-:mod:`repro.nn`, the Gimli permutation of :mod:`repro.ciphers.gimli`,
-the bit counts of :mod:`repro.search.oracle` and the request-body
-feature matrices of :mod:`repro.serve.body` all go through here.
+Every compiled kernel in the package goes through here, and this
+module is the one place that knows which kernels exist: each
+:class:`CompiledKernel` registers itself under its name, and
+:func:`kernels_in_use` reports, for every kernel whose module this
+process has imported, whether it resolved.  That map is what a run
+manifest (``compute.kernels``) and ``/healthz?verbose=1``
+(``kernels``) record.
+
 A :class:`CompiledKernel` is a piece of C source that is compiled at
 first use with the toolchain already on the host, loaded through
 ctypes and checked by a bitwise self-test before anything may call
@@ -36,7 +40,7 @@ import os
 import subprocess
 import tempfile
 import threading
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 KERNEL_DIR_ENV_VAR = "REPRO_QUANT_KERNEL_DIR"
 
@@ -45,6 +49,9 @@ KERNEL_DIR_ENV_VAR = "REPRO_QUANT_KERNEL_DIR"
 BASE_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 _TAG_BYTES = hashlib.sha256().digest_size
+
+#: Every :class:`CompiledKernel` constructed in this process, by name.
+_KERNELS: Dict[str, "CompiledKernel"] = {}
 
 
 def cache_dir() -> str:
@@ -126,6 +133,8 @@ class CompiledKernel:
         self_test: Callable[[Any], bool],
         extra_flags: Sequence[str] = (),
     ):
+        if name in _KERNELS:
+            raise ValueError(f"a compiled kernel named {name!r} already exists")
         self.name = name
         self.source = source
         self.flags = BASE_FLAGS + tuple(extra_flags)
@@ -134,6 +143,7 @@ class CompiledKernel:
         self._lock = threading.Lock()
         self._loaded = False
         self._entry = None
+        _KERNELS[name] = self
 
     def so_path(self) -> str:
         digest = hashlib.sha256(
@@ -181,3 +191,13 @@ class CompiledKernel:
             if fresh:
                 return None
         return None
+
+
+def kernels_in_use() -> Dict[str, bool]:
+    """``{name: resolved}`` for every kernel whose module is imported.
+
+    Resolving loads each kernel (building it on a cold cache), so True
+    means compiled, loaded and self-tested in this process, and False
+    means its callers run their numpy spelling.
+    """
+    return {name: kernel.get() is not None for name, kernel in _KERNELS.items()}

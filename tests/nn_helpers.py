@@ -1,14 +1,27 @@
 """Shared test helpers: numerical gradient checking for the NN layers,
-and whether the compiled kernels are expected to load."""
+which compiled kernels exist and whether they are expected to load."""
 
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 import shutil
+from typing import List
 
 import numpy as np
 
+import repro
 from repro.utils import cbuild
+
+
+def registered_kernels() -> List[str]:
+    """The name of every compiled kernel in the package, after importing
+    every ``repro`` module so that each kernel has registered."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+    return sorted(cbuild._KERNELS)
 
 
 def compiled_kernels_expected() -> bool:

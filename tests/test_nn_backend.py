@@ -37,7 +37,7 @@ from repro.nn import (
 from nn_helpers import compiled_kernels_expected
 from repro.nn import layers as layers_mod
 from repro.nn.architectures import TABLE3_NETWORKS
-from repro.nn.layers import _sigmoid, epilogue_kernel_in_use
+from repro.nn.layers import _sigmoid
 
 DTYPES = ["float32", "float64"]
 
@@ -362,10 +362,9 @@ class TestBitIdentity:
         """A fit through the compiled Dense+ReLU epilogue and one on the
         numpy path train the same bytes."""
         if compiled_kernels_expected():
-            assert epilogue_kernel_in_use()
+            assert layers_mod._EPILOGUE_KERNEL.get() is not None
         fused = _fit_bits(arch, dtype, rng_factory)
         monkeypatch.setattr(layers_mod._EPILOGUE_KERNEL, "get", lambda: None)
-        assert not epilogue_kernel_in_use()
         assert _fit_bits(arch, dtype, rng_factory) == fused
 
 

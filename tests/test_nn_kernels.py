@@ -18,11 +18,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nn_helpers import compiled_kernels_expected
-from repro.ciphers import gimli
-from repro.ciphers.gimli import gimli_kernel_in_use, gimli_permute_batch
+from nn_helpers import compiled_kernels_expected, registered_kernels
+from repro.ciphers.gimli import gimli_permute_batch
 from repro.nn import layers, optimizers
-from repro.nn.backend import qkernel
 from repro.nn.conv import Conv1D
 from repro.nn.layers import (
     Dense,
@@ -33,17 +31,14 @@ from repro.nn.layers import (
     Reshape,
     Softmax,
     dense_relu_numpy,
-    epilogue_kernel_in_use,
 )
 from repro.nn.losses import CategoricalCrossentropy, one_hot
 from repro.nn.model import Sequential
-from repro.nn.optimizers import SGD, Adam, adam_kernel_in_use, adam_step_numpy
+from repro.nn.optimizers import SGD, Adam, adam_step_numpy
 from repro.nn.quant import _Int8Linear, int8_affine, quantize_weight
 from repro.search import oracle as search_oracle
 from repro.search.config import get_scenario_builder
-from repro.search.oracle import count_kernel_in_use
 from repro.serve import body as serve_body
-from repro.serve.body import body_kernel_in_use
 from repro.utils import cbuild
 
 
@@ -187,7 +182,7 @@ class TestInPlaceOptimizers:
             tracemalloc.stop()
         assert adam._m[0] is buffers[0]
         assert adam._v[0] is buffers[1]
-        if adam_kernel_in_use():
+        if optimizers._ADAM_KERNEL.get() is not None:
             # The compiled step writes into p, m and v only: the step's
             # peak stays far below one 32 KiB parameter-sized array.
             assert peak < params[0].nbytes // 4
@@ -275,7 +270,7 @@ class TestFusedAdam:
             pytest.skip("no C compiler or kernel cache directory")
         # With a compiler the kernel must build and pass its self-test:
         # a silent fallback would pass every bit-identity check.
-        assert adam_kernel_in_use()
+        assert optimizers._ADAM_KERNEL.get() is not None
         assert _adam_run(dtype, 200, ODD_SHAPES) == _numpy_adam_run(
             dtype, 200, ODD_SHAPES
         )
@@ -284,7 +279,6 @@ class TestFusedAdam:
     def test_forced_fallback_gives_same_bits(self, dtype, monkeypatch):
         with_kernel = _adam_run(dtype, 50, ODD_SHAPES)
         monkeypatch.setattr(optimizers._ADAM_KERNEL, "get", lambda: None)
-        assert not adam_kernel_in_use()
         assert _adam_run(dtype, 50, ODD_SHAPES) == with_kernel
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -294,7 +288,7 @@ class TestFusedAdam:
         in float64), the state dead ReLU units reach in real training.
         The kernel's software-rounded lanes must match numpy there."""
         if compiled_kernels_expected():
-            assert adam_kernel_in_use()
+            assert optimizers._ADAM_KERNEL.get() is not None
         reference = _dead_unit_run(dtype, adam_step_numpy)
         assert _dead_unit_run(dtype) == reference
         m = np.frombuffer(reference[1], dtype)
@@ -323,12 +317,11 @@ class TestFusedAdam:
         assert np.array_equal(clone._m[0], adam._m[0])
 
 
-def _int8_bits(mode, monkeypatch):
+def _int8_bits():
     rng = np.random.default_rng(8)
     q, scale = quantize_weight(rng.normal(size=(96, 33)).astype(np.float32))
     linear = _Int8Linear(q, scale, rng.normal(size=33).astype(np.float32))
     x = rng.normal(size=(17, 96)).astype(np.float32)
-    monkeypatch.setenv("REPRO_QUANT", mode)
     return int8_affine(x, linear).tobytes()
 
 
@@ -384,6 +377,29 @@ def _garble(path):
         handle.write(b"\x00garbage\xff" * 8)
 
 
+#: Every compiled kernel, by registered name, with a workload through
+#: it whose bytes must not change when the kernel falls back.
+FALLBACK_WORKLOADS = {
+    "adam": lambda: [_adam_run(dtype, 20, ODD_SHAPES)
+                     for dtype in (np.float32, np.float64)],
+    "qkernel": _int8_bits,
+    "dense_relu": _mlp_fit_bytes,
+    "gimli": _cipher_search_bytes,
+    "diff_bit_counts": _cipher_search_bytes,
+    "json_matrix": _body_bytes,
+}
+
+
+def test_every_registered_kernel_has_a_fallback_workload():
+    assert registered_kernels() == sorted(FALLBACK_WORKLOADS)
+
+
+def test_duplicate_kernel_name_is_rejected():
+    with pytest.raises(ValueError, match="'adam' already exists"):
+        cbuild.CompiledKernel("adam", "", lambda lib: None, lambda entry: True)
+    assert cbuild._KERNELS["adam"] is optimizers._ADAM_KERNEL
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 class TestKernelCacheFaults:
     """A torn or garbled cached ``.so`` is deleted and rebuilt once;
@@ -394,30 +410,19 @@ class TestKernelCacheFaults:
     def kernels(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cbuild.KERNEL_DIR_ENV_VAR, str(tmp_path))
         monkeypatch.delenv("REPRO_QUANT", raising=False)
-        six = (optimizers._ADAM_KERNEL, qkernel._KERNEL,
-               layers._EPILOGUE_KERNEL, gimli._GIMLI_KERNEL,
-               search_oracle._COUNT_KERNEL, serve_body._MATRIX_KERNEL)
-        for kernel in six:
+        for kernel in cbuild._KERNELS.values():
             monkeypatch.setattr(kernel, "_loaded", False)
             monkeypatch.setattr(kernel, "_entry", None)
             # A cached library this process has never loaded.
             assert cbuild._build(kernel.source, kernel.flags, kernel.so_path())
-        return six
+        return list(cbuild._KERNELS.values())
 
     def _assert_results_unchanged(self, monkeypatch):
-        for dtype in (np.float32, np.float64):
-            assert _adam_run(dtype, 20, ODD_SHAPES) == _numpy_adam_run(
-                dtype, 20, ODD_SHAPES
-            )
-        assert _int8_bits("auto", monkeypatch) == _int8_bits("numpy", monkeypatch)
-        compiled = (_mlp_fit_bytes(), _cipher_search_bytes(), _body_bytes())
-        with monkeypatch.context() as patch:
-            for kernel in (layers._EPILOGUE_KERNEL, gimli._GIMLI_KERNEL,
-                           search_oracle._COUNT_KERNEL, serve_body._MATRIX_KERNEL):
-                patch.setattr(kernel, "get", lambda: None)
-            assert (
-                _mlp_fit_bytes(), _cipher_search_bytes(), _body_bytes()
-            ) == compiled
+        for name, workload in FALLBACK_WORKLOADS.items():
+            resolved = workload()
+            with monkeypatch.context() as patch:
+                patch.setattr(cbuild._KERNELS[name], "get", lambda: None)
+                assert workload() == resolved, name
 
     @pytest.mark.parametrize("corrupt", [_truncate, _garble])
     def test_corrupt_cache_is_rebuilt(self, kernels, corrupt, monkeypatch):
@@ -448,12 +453,7 @@ class TestKernelCacheFaults:
             corrupt(kernel.so_path())
             assert kernel.get() is None
             assert not os.path.exists(kernel.so_path())
-        assert not adam_kernel_in_use()
-        assert not qkernel.available()
-        assert not epilogue_kernel_in_use()
-        assert not gimli_kernel_in_use()
-        assert not count_kernel_in_use()
-        assert not body_kernel_in_use()
+        assert not any(cbuild.kernels_in_use().values())
         self._assert_results_unchanged(monkeypatch)
 
 
@@ -537,7 +537,7 @@ class TestDenseReluEpilogue:
         on numpy, and from two columns on it adds rows in order.
         """
         if compiled_kernels_expected():
-            assert epilogue_kernel_in_use()
+            assert layers._EPILOGUE_KERNEL.get() is not None
         rng = np.random.default_rng(3)
         model = Sequential([Dense(units), ReLU()])
         model.build((9,), rng=0)

@@ -207,6 +207,13 @@ class TestPersistence:
         assert np.allclose(model.predict(x), loaded.predict(x))
         assert loaded.count_params() == model.count_params()
 
+    def test_save_appends_npz_suffix(self, rng, tmp_path):
+        model = make_model().build((4,), rng)
+        model.save(os.path.join(tmp_path, "model"))
+        assert os.listdir(tmp_path) == ["model.npz"]
+        loaded = load_model(os.path.join(tmp_path, "model.npz"))
+        assert loaded.count_params() == model.count_params()
+
     def test_save_before_build_rejected(self, tmp_path):
         with pytest.raises(TrainingError):
             make_model().save(os.path.join(tmp_path, "m.npz"))

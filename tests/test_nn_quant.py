@@ -13,6 +13,8 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,7 @@ class TestPrimitives:
 
 class TestKernelParity:
     def test_kernel_and_numpy_paths_bit_identical(self, rng, monkeypatch):
-        if not qkernel.available():
+        if qkernel._KERNEL.get() is None:
             pytest.skip("compiled kernel unavailable on this host")
         w = rng.normal(size=(96, 33)).astype(np.float32)
         q, scale = quantize_weight(w)
@@ -280,6 +282,27 @@ class TestRoundtrip:
             loaded.predict_proba(x).tobytes()
             == quantized.predict_proba(x).tobytes()
         )
+
+    @pytest.mark.parametrize("scheme", [None, "int8"])
+    def test_failed_save_leaves_previous_file(
+        self, rng, tmp_path, scheme, monkeypatch
+    ):
+        model = make_model(rng)
+        if scheme is not None:
+            model = quantize_model(model, scheme, min_weight_elems=0)
+        path = tmp_path / "model.npz"
+        model.save(str(path))
+        before = path.read_bytes()
+
+        def torn(stream, **arrays):
+            stream.write(before[: len(before) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn)
+        with pytest.raises(OSError, match="disk full"):
+            model.save(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.npz"]
 
     def test_float_artifact_rejected(self, rng, tmp_path):
         path = str(tmp_path / "float.npz")

@@ -13,9 +13,11 @@ import threading
 import numpy as np
 import pytest
 
+from nn_helpers import registered_kernels
 from repro.errors import ReproError
 from repro.obs import log as obs_log
 from repro.obs import trace
+from repro.utils import cbuild
 
 
 @pytest.fixture(autouse=True)
@@ -164,25 +166,17 @@ class TestManifest:
         )
         manifest = json.loads(manifest_path.read_text())
         assert manifest["experiment"] == "complexity"
-        assert manifest["manifest_version"] == 3
+        assert manifest["manifest_version"] == 4
         assert manifest["run_id"]
         assert manifest["obs"]["trace_file"] == "trace_merged.json"
         assert manifest["duration_s"] > 0.0
-        from repro.ciphers.gimli import gimli_kernel_in_use
         from repro.nn.backend import qkernel
-        from repro.nn.layers import epilogue_kernel_in_use
-        from repro.nn.optimizers import adam_kernel_in_use
-        from repro.search.oracle import count_kernel_in_use
 
         assert manifest["compute"] == {
             "blas_threads_controllable": manifest["compute"][
                 "blas_threads_controllable"],
             "quant_mode": qkernel.quant_mode(),
-            "quant_kernel_available": qkernel.available(),
-            "adam_kernel_in_use": adam_kernel_in_use(),
-            "epilogue_kernel_in_use": epilogue_kernel_in_use(),
-            "gimli_kernel_in_use": gimli_kernel_in_use(),
-            "count_kernel_in_use": count_kernel_in_use(),
+            "kernels": cbuild.kernels_in_use(),
         }
         names = [s["name"] for s in manifest["spans"]]
         assert "experiment.complexity" in names
@@ -193,32 +187,12 @@ class TestManifest:
         assert not trace.is_enabled()
 
 
-    def test_compute_manifest_names_the_numpy_adam_path(self, monkeypatch):
+    @pytest.mark.parametrize("name", registered_kernels())
+    def test_compute_manifest_names_the_numpy_path(self, name, monkeypatch):
         from repro.experiments.manifest import _compute_manifest
-        from repro.nn import optimizers
 
-        monkeypatch.setattr(optimizers._ADAM_KERNEL, "get", lambda: None)
-        assert _compute_manifest()["adam_kernel_in_use"] is False
-
-    def test_compute_manifest_names_the_numpy_epilogue_path(self, monkeypatch):
-        from repro.experiments.manifest import _compute_manifest
-        from repro.nn import layers
-
-        monkeypatch.setattr(layers._EPILOGUE_KERNEL, "get", lambda: None)
-        assert _compute_manifest()["epilogue_kernel_in_use"] is False
-
-    def test_compute_manifest_names_the_numpy_cipher_search_paths(
-        self, monkeypatch
-    ):
-        from repro.ciphers import gimli
-        from repro.experiments.manifest import _compute_manifest
-        from repro.search import oracle
-
-        monkeypatch.setattr(gimli._GIMLI_KERNEL, "get", lambda: None)
-        monkeypatch.setattr(oracle._COUNT_KERNEL, "get", lambda: None)
-        compute = _compute_manifest()
-        assert compute["gimli_kernel_in_use"] is False
-        assert compute["count_kernel_in_use"] is False
+        monkeypatch.setattr(cbuild._KERNELS[name], "get", lambda: None)
+        assert _compute_manifest()["kernels"][name] is False
 
 
 class TestBitIdenticalTraining:

@@ -19,10 +19,11 @@ from nn_helpers import compiled_kernels_expected
 from repro.nn import Dense, ReLU, Sequential, Softmax
 from repro.serve import ModelRegistry, ServeServer
 from repro.serve import body as serve_body
-from repro.serve.body import body_kernel_in_use, decode_body
+from repro.serve.body import decode_body
 
 needs_kernel = pytest.mark.skipif(
-    not body_kernel_in_use(), reason="compiled body kernel unavailable"
+    serve_body._MATRIX_KERNEL.get() is None,
+    reason="compiled body kernel unavailable",
 )
 
 
@@ -155,7 +156,7 @@ class TestMatchesStdlib:
     def test_exact_matrices_equal_json_loads(self, matrix):
         raw = ('{"model": "m", "features": ' + matrix + ', "labels": [1]}').encode()
         _assert_same(raw)
-        if body_kernel_in_use():
+        if serve_body._MATRIX_KERNEL.get() is not None:
             assert isinstance(decode_body(raw)["features"], np.ndarray)
 
     @pytest.mark.parametrize("raw", [
@@ -199,7 +200,7 @@ class TestMatchesStdlib:
 
 def test_kernel_loads_where_a_compiler_is_available():
     if compiled_kernels_expected():
-        assert body_kernel_in_use()
+        assert serve_body._MATRIX_KERNEL.get() is not None
 
 
 @needs_kernel
@@ -293,7 +294,6 @@ def test_online_phase_identical_with_kernel_forced_off(tmp_path, monkeypatch):
         compiled = _served_phase(server.address, pools, classify)
         with monkeypatch.context() as patch:
             patch.setattr(serve_body._MATRIX_KERNEL, "get", lambda: None)
-            assert not body_kernel_in_use()
             fallback = _served_phase(server.address, pools, classify)
     assert compiled == fallback
     assert compiled[0][-1]["done"]

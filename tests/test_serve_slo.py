@@ -119,18 +119,18 @@ class TestHealthzEndpoint:
         body = self._get(server.url + "/healthz")
         assert body["status"] == "ok"
         assert "slo" not in body
-        assert "body_kernel_in_use" not in body
+        assert "kernels" not in body
 
     def test_healthz_verbose_attaches_verdict(self, server):
-        from repro.serve.body import body_kernel_in_use
+        from repro.utils import cbuild
 
         body = self._get(server.url + "/healthz?verbose=1")
         assert body["slo"]["status"] == "unknown"  # idle server
         assert body["slo"]["thresholds"]["error_rate"] == (
             DEFAULT_SLO_ERROR_RATE
         )
-        # Which decode path this process runs: provenance for a result.
-        assert body["body_kernel_in_use"] is body_kernel_in_use()
+        # Which compiled kernels this process runs: provenance for a result.
+        assert body["kernels"] == cbuild.kernels_in_use()
 
     def test_healthz_degrades_on_breach(self, server, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_SLO_MIN_SAMPLES", "5")
