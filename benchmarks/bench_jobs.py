@@ -20,7 +20,6 @@ import json
 import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
@@ -30,29 +29,9 @@ from repro.core.parallel import run_grid  # noqa: E402
 from repro.jobs import run_cells  # noqa: E402
 from repro.obs import log as obs_log  # noqa: E402
 
+import timing  # noqa: E402
+
 GRID_CELLS = 16
-
-
-def _time(fn, rounds, warmup):
-    for _ in range(warmup):
-        fn()
-    samples = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return samples
-
-
-def _entry(name, samples, **extras):
-    entry = {
-        "name": name,
-        "mean_s": statistics.fmean(samples),
-        "stddev_s": statistics.pstdev(samples),
-        "rounds": len(samples),
-    }
-    entry.update(extras)
-    return entry
 
 
 def _cell(payload):
@@ -91,14 +70,14 @@ def run(quick: bool) -> dict:
     warmup = 1
     entries = []
 
-    samples = _time(lambda: run_grid(_cell, _payloads()), grid_rounds, warmup)
+    samples = timing.time_calls(lambda: run_grid(_cell, _payloads()), grid_rounds, warmup)
     grid_mean = statistics.fmean(samples)
-    entries.append(_entry("grid_bare_16cells", samples, cells=GRID_CELLS))
+    entries.append(timing.entry("grid_bare_16cells", samples, cells=GRID_CELLS))
 
-    samples = _time(_queued_run, grid_rounds, warmup)
+    samples = timing.time_calls(_queued_run, grid_rounds, warmup)
     queued_mean = statistics.fmean(samples)
     entries.append(
-        _entry(
+        timing.entry(
             "queue_run_16cells",
             samples,
             cells=GRID_CELLS,
@@ -108,10 +87,10 @@ def run(quick: bool) -> dict:
 
     replay, tmp = _queued_replay_factory()
     try:
-        samples = _time(replay, grid_rounds, warmup)
+        samples = timing.time_calls(replay, grid_rounds, warmup)
     finally:
         tmp.cleanup()
-    entries.append(_entry("queue_replay_16cells", samples, cells=GRID_CELLS))
+    entries.append(timing.entry("queue_replay_16cells", samples, cells=GRID_CELLS))
 
     return {
         "suite": "jobs",

@@ -27,11 +27,12 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import statistics
 import time
 from pathlib import Path
 
 import numpy as np
+
+import timing
 
 BENCH_DIR = Path(__file__).resolve().parent
 
@@ -52,15 +53,6 @@ def _time_rounds(fn, rounds: int, iterations: int):
             fn()
         samples.append((time.perf_counter() - start) / iterations)
     return samples
-
-
-def _entry(name: str, samples) -> dict:
-    return {
-        "name": name,
-        "mean_s": statistics.fmean(samples),
-        "stddev_s": statistics.pstdev(samples),
-        "rounds": len(samples),
-    }
 
 
 def _build_model():
@@ -107,7 +99,7 @@ def run(quick: bool, output_dir: Path) -> Path:
         lambda: model.train_on_batch(x, y), rounds, step_iters
     )
     benchmarks.append(
-        _entry("obs_off_mlp_iii_train_step[batch=256,float32]", samples)
+        timing.entry("obs_off_mlp_iii_train_step[batch=256,float32]", samples)
     )
 
     # On: every pillar at once — JSON log line + enabled span per step,
@@ -130,7 +122,7 @@ def run(quick: bool, output_dir: Path) -> Path:
     instrumented_step()  # warm
     samples = _time_rounds(instrumented_step, rounds, step_iters)
     benchmarks.append(
-        _entry("obs_on_mlp_iii_train_step[batch=256,float32]", samples)
+        timing.entry("obs_on_mlp_iii_train_step[batch=256,float32]", samples)
     )
     model._profiler = None
     obs_trace.drain()
@@ -141,13 +133,13 @@ def run(quick: bool, output_dir: Path) -> Path:
     samples = _time_rounds(
         lambda: off_logger.debug("noop", value=1), rounds, micro_iters
     )
-    benchmarks.append(_entry("obs_log_disabled_call", samples))
+    benchmarks.append(timing.entry("obs_log_disabled_call", samples))
 
     obs_log.configure(mode="json", level="debug", stream=sink)
     samples = _time_rounds(
         lambda: logger.debug("line", value=1.0, label="x"), rounds, micro_iters
     )
-    benchmarks.append(_entry("obs_log_json_line", samples))
+    benchmarks.append(timing.entry("obs_log_json_line", samples))
 
     obs_trace.disable()
 
@@ -156,7 +148,7 @@ def run(quick: bool, output_dir: Path) -> Path:
             pass
 
     samples = _time_rounds(disabled_span, rounds, micro_iters)
-    benchmarks.append(_entry("obs_span_disabled", samples))
+    benchmarks.append(timing.entry("obs_span_disabled", samples))
 
     obs_trace.enable()
 
@@ -168,19 +160,19 @@ def run(quick: bool, output_dir: Path) -> Path:
     for _ in range(rounds):
         obs_trace.drain()  # keep the buffer off its cap between rounds
         samples.extend(_time_rounds(enabled_span, 1, micro_iters))
-    benchmarks.append(_entry("obs_span_enabled", samples))
+    benchmarks.append(timing.entry("obs_span_enabled", samples))
     obs_trace.drain()
     obs_trace.disable()
 
     counter = registry.counter("bench_counter_total")
     samples = _time_rounds(counter.inc, rounds, micro_iters)
-    benchmarks.append(_entry("obs_counter_inc", samples))
+    benchmarks.append(timing.entry("obs_counter_inc", samples))
 
     histogram = registry.histogram("bench_histogram_seconds")
     samples = _time_rounds(
         lambda: histogram.observe(0.0042), rounds, micro_iters
     )
-    benchmarks.append(_entry("obs_histogram_observe", samples))
+    benchmarks.append(timing.entry("obs_histogram_observe", samples))
 
     obs_log.configure(mode="off")
 
@@ -248,7 +240,7 @@ def _aggregation_entries(rounds: int, quick: bool):
             5,
         )
         entries.append(
-            _entry(f"obs_worker_flush[spans={spans_per_flush}]", samples)
+            timing.entry(f"obs_worker_flush[spans={spans_per_flush}]", samples)
         )
     finally:
         shutil.rmtree(flush_dir, ignore_errors=True)
@@ -287,7 +279,7 @@ def _aggregation_entries(rounds: int, quick: bool):
         samples = _time_rounds(
             lambda: obs_agg.merge_run(merge_dir), rounds, 5
         )
-        entries.append(_entry("obs_merge_16cell_grid", samples))
+        entries.append(timing.entry("obs_merge_16cell_grid", samples))
     finally:
         shutil.rmtree(merge_dir, ignore_errors=True)
     return entries

@@ -1,13 +1,13 @@
 """Quantized-inference latency harness: writes ``BENCH_quant.json``.
 
-Times ``predict_proba`` for the float32 parent and its float16 / int8
-variants across the paper's Table 3 model families (MLP III, CNN II,
-LSTM II) at single-row and batched shapes, plus the serving path
+Times ``predict_proba`` for the float32 parent and its int8 variant
+for the two Table 3 model families whose matmuls int8 quantizes (MLP
+III, CNN II) at single-row and batched shapes, plus the serving path
 (:class:`MicroBatchEngine.classify`) at typical coalesced batch sizes.
 Entries follow the shared ``BENCH_<suite>.json`` schema (``name`` /
 ``mean_s`` / ``stddev_s`` / ``rounds``) with quantization extras
-(``scheme``, ``rows``, and ``speedup_vs_f32`` on the non-float32
-entries), so ``check_regression.py`` gates on the means exactly as it
+(``scheme``, ``rows``, and ``speedup_vs_f32`` on the int8 entries),
+so ``check_regression.py`` gates on the means exactly as it
 does for the other suites.
 
 The committed full-mode artefact is also the acceptance record for the
@@ -34,23 +34,24 @@ BENCH_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(BENCH_DIR.parent / "src"))
 
 from repro.nn import quantize_model  # noqa: E402
-from repro.nn.architectures import cnn_ii, lstm_ii, mlp_iii  # noqa: E402
+from repro.nn.architectures import cnn_ii, mlp_iii  # noqa: E402
 from repro.nn.backend import qkernel  # noqa: E402
 from repro.serve import MicroBatchEngine  # noqa: E402
+
+import timing  # noqa: E402
 
 INPUT_BITS = 128
 
 #: name -> Table 3 factory.  MLP III is the paper's best distinguisher
 #: (two 1024-wide GEMMs — the int8 showcase); CNN II's 3072-column
-#: im2col matmul quantizes too; LSTM II is weight-only under int8, so
-#: its entries pin the "storage shrinks, latency stays" behaviour.
+#: im2col matmul quantizes too.  The LSTMs keep every parameter float32
+#: under int8, so an LSTM row would time f32 against itself.
 MODELS = {
     "mlp_iii": mlp_iii,
     "cnn_ii": cnn_ii,
-    "lstm_ii": lstm_ii,
 }
 
-SCHEMES = ("f32", "f16", "int8")
+SCHEMES = ("f32", "int8")
 
 
 def _bits(rng, rows):
@@ -60,11 +61,7 @@ def _bits(rng, rows):
 def _variants(name):
     model = MODELS[name]().build((INPUT_BITS,), np.random.default_rng(7))
     model.compile(dtype="float32")
-    return {
-        "f32": model,
-        "f16": quantize_model(model, "float16"),
-        "int8": quantize_model(model, "int8"),
-    }
+    return {"f32": model, "int8": quantize_model(model)}
 
 
 #: Interleaved measurement passes per (model, rows) cell.
@@ -100,15 +97,20 @@ def _time_group(fns, rounds, warmup):
     return samples
 
 
-def _entry(name, samples, **extras):
-    entry = {
-        "name": name,
-        "mean_s": statistics.fmean(samples),
-        "stddev_s": statistics.pstdev(samples),
-        "rounds": len(samples),
-    }
-    entry.update(extras)
-    return entry
+def _cell_entries(prefix, rows, samples):
+    """One entry per scheme of a timed cell; int8 carries its speedup."""
+    f32_mean = statistics.fmean(samples["f32"])
+    entries = []
+    for scheme in SCHEMES:
+        extras = {"scheme": scheme, "rows": rows}
+        if scheme != "f32":
+            extras["speedup_vs_f32"] = f32_mean / statistics.fmean(
+                samples[scheme]
+            )
+        entries.append(
+            timing.entry(f"{prefix}_{scheme}_rows{rows}", samples[scheme], **extras)
+        )
+    return entries
 
 
 def run(quick: bool) -> dict:
@@ -135,20 +137,7 @@ def run(quick: bool) -> dict:
                 for scheme in SCHEMES
             }
             samples = _time_group(fns, rounds, warmup)
-            f32_mean = statistics.fmean(samples["f32"])
-            for scheme in SCHEMES:
-                extras = {"scheme": scheme, "rows": rows}
-                if scheme != "f32":
-                    extras["speedup_vs_f32"] = f32_mean / statistics.fmean(
-                        samples[scheme]
-                    )
-                entries.append(
-                    _entry(
-                        f"predict_{model_name}_{scheme}_rows{rows}",
-                        samples[scheme],
-                        **extras,
-                    )
-                )
+            entries += _cell_entries(f"predict_{model_name}", rows, samples)
 
     # The serving path: engine submit -> coalesce -> fused predict, the
     # latency a /v1/classify caller actually sees (minus HTTP framing).
@@ -159,7 +148,7 @@ def run(quick: bool) -> dict:
             scheme: MicroBatchEngine(
                 serve_variants[scheme], max_batch=max(rows, 1), max_wait_ms=0.1
             )
-            for scheme in ("f32", "int8")
+            for scheme in SCHEMES
         }
         try:
             fns = {
@@ -170,20 +159,7 @@ def run(quick: bool) -> dict:
         finally:
             for engine in engines.values():
                 engine.stop()
-        f32_mean = statistics.fmean(samples["f32"])
-        for scheme in ("f32", "int8"):
-            extras = {"scheme": scheme, "rows": rows}
-            if scheme != "f32":
-                extras["speedup_vs_f32"] = f32_mean / statistics.fmean(
-                    samples[scheme]
-                )
-            entries.append(
-                _entry(
-                    f"serve_mlp_iii_{scheme}_rows{rows}",
-                    samples[scheme],
-                    **extras,
-                )
-            )
+        entries += _cell_entries("serve_mlp_iii", rows, samples)
 
     return {
         "suite": "quant",

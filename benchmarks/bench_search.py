@@ -21,7 +21,6 @@ import argparse
 import json
 import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -37,30 +36,10 @@ from repro.search import (  # noqa: E402
 )
 from repro.search.config import get_scenario_builder  # noqa: E402
 
+import timing  # noqa: E402
+
 ORACLE_SAMPLES = 2048
 POPULATION = 64
-
-
-def _time(fn, rounds, warmup):
-    for _ in range(warmup):
-        fn()
-    samples = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return samples
-
-
-def _entry(name, samples, **extras):
-    entry = {
-        "name": name,
-        "mean_s": statistics.fmean(samples),
-        "stddev_s": statistics.pstdev(samples),
-        "rounds": len(samples),
-    }
-    entry.update(extras)
-    return entry
 
 
 def _fresh_oracle(seed=0):
@@ -98,18 +77,18 @@ def run(quick: bool) -> dict:
     # memo cache would otherwise turn rounds 2+ into dict lookups)
     oracles = iter([_fresh_oracle(seed) for seed in range(score_rounds + warmup)])
     delta = np.array([0x00, 0x40], dtype=np.uint8)
-    samples = _time(lambda: next(oracles).score(delta), score_rounds, warmup)
-    entries.append(_entry("oracle_score_single", samples, samples_per_score=ORACLE_SAMPLES))
+    samples = timing.time_calls(lambda: next(oracles).score(delta), score_rounds, warmup)
+    entries.append(timing.entry("oracle_score_single", samples, samples_per_score=ORACLE_SAMPLES))
 
     # batched population score + throughput
     population = _population(rng)
     oracles = iter([_fresh_oracle(seed) for seed in range(score_rounds + warmup)])
-    samples = _time(
+    samples = timing.time_calls(
         lambda: next(oracles).score_batch(population), score_rounds, warmup
     )
     mean = statistics.fmean(samples)
     entries.append(
-        _entry(
+        timing.entry(
             "oracle_score_batch64",
             samples,
             candidates=POPULATION,
@@ -127,13 +106,13 @@ def run(quick: bool) -> dict:
         n_samples=ORACLE_SAMPLES,
     )
     seeds = iter(range(search_rounds + warmup))
-    samples = _time(
+    samples = timing.time_calls(
         lambda: evolve_differences(_fresh_oracle(next(seeds)), config),
         search_rounds,
         warmup,
     )
     entries.append(
-        _entry(
+        timing.entry(
             "search_toyspeck_full",
             samples,
             population_size=config.population_size,

@@ -49,7 +49,8 @@ from repro.utils.atomic import atomic_write
 #: contributing processes) — the run is now the unit of telemetry.
 #: v4: ``compute.kernels`` maps every compiled kernel to whether it
 #: resolved, in place of one key per kernel.
-MANIFEST_VERSION = 4
+#: v5: drops ``compute.quant_mode`` with the int8 path's mode knob.
+MANIFEST_VERSION = 5
 
 
 def _scalar_args(kwargs: Dict) -> Dict:
@@ -77,14 +78,12 @@ def _compute_manifest() -> Dict:
     were found, and which compiled kernels passed their load-time
     self-tests (:func:`repro.utils.cbuild.kernels_in_use`) — so two
     manifests can be compared for compute-substrate drift, not just
-    knob drift.  Under ``quant_mode`` ``numpy``, ``kernels["qkernel"]``
-    can read True although no int8 matmul runs through it.
+    knob drift.
     """
-    from repro.nn.backend import blas, qkernel
+    from repro.nn.backend import blas
 
     return {
         "blas_threads_controllable": blas.controllable(),
-        "quant_mode": qkernel.quant_mode(),
         "kernels": cbuild.kernels_in_use(),
     }
 

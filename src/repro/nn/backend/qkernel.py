@@ -26,8 +26,8 @@ kernel at first use and loads it through ctypes
 * elsewhere the same C file compiles to a portable widening-MAC loop
   (autovectorized, ``-ffp-contract=off`` so the float steps round
   one-by-one exactly like the vector and numpy paths), still exact;
-* no compiler, a failed build, or ``REPRO_QUANT=numpy`` falls back to
-  the pure-numpy path in :mod:`repro.nn.quant` — the same quantization
+* no compiler or a failed build falls back to
+  :func:`repro.nn.quant.int8_affine_numpy` — the same quantization
   ufuncs plus a float64 GEMM on the integer-valued operands (exact for
   any practical depth: products ≤ 2^15, sums far below 2^53), which is
   bit-identical to the kernel.
@@ -38,8 +38,8 @@ round to nearest-even, the epilogue is deliberately mul-then-add (no
 FMA — numpy rounds after the multiply and after the add, so the kernel
 must too), ``z * colsum`` stays exact in int32 (≤ 255 * 127 * k) and
 ``int32 -> float32`` conversion rounds to nearest in both worlds.  The
-load-time self-test pins the equivalence bitwise and the kernel is
-rejected if it ever disagrees.
+load-time self-test pins the equivalence bitwise against that numpy
+fallback and the kernel is rejected if it ever disagrees.
 
 Weights are packed once at quantization time into the VNNI layout
 ``(k/4, m, 4)`` — four consecutive ``k`` values of one output column
@@ -49,23 +49,19 @@ a multiple of 16 (zero padding contributes nothing, and the padded
 row-independent, so concurrent calls from the serving engine are safe
 and results never depend on how rows are grouped into batches.
 
-Knobs: ``REPRO_QUANT`` (``auto`` | ``kernel`` | ``numpy``) selects the
-compute path; ``REPRO_QUANT_KERNEL_DIR`` overrides where the shared
-object is cached (see :func:`repro.utils.cbuild.cache_dir`).
+``REPRO_QUANT_KERNEL_DIR`` overrides where the shared object is cached
+(see :func:`repro.utils.cbuild.cache_dir`).
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
 from typing import Tuple
 
 import numpy as np
 
 from repro.errors import TrainingError
 from repro.utils import cbuild
-
-QUANT_ENV_VAR = "REPRO_QUANT"
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -332,74 +328,31 @@ void repro_qaffine(const float* x, const int8_t* wp, float wscale,
 #endif
 """
 
-def quant_mode() -> str:
-    """The ``REPRO_QUANT`` knob: ``auto`` (default), ``kernel``, ``numpy``."""
-    raw = os.environ.get(QUANT_ENV_VAR, "") or "auto"
-    if raw not in ("auto", "kernel", "numpy"):
-        raise TrainingError(
-            f"{QUANT_ENV_VAR} must be 'auto', 'kernel' or 'numpy', got {raw!r}"
-        )
-    return raw
-
-
-def _numpy_reference(x, w, wscale, bias_m):
-    """The pure-numpy fused affine the kernel must match bitwise.
-
-    Mirrors :func:`repro.nn.quant.quantize_rows` + the exact int32
-    accumulation + the float32 mul-then-add epilogue (inlined here to
-    avoid a circular import with :mod:`repro.nn.quant`).
-    """
-    x = np.ascontiguousarray(x, dtype=np.float32)
-    lo = np.minimum(x.min(axis=1), np.float32(0.0))
-    hi = np.maximum(x.max(axis=1), np.float32(0.0))
-    scale = (hi - lo) / np.float32(255.0)
-    inv = np.zeros_like(scale)
-    np.divide(np.float32(1.0), scale, out=inv, where=scale > 0)
-    zp = np.rint(-lo * inv).astype(np.int32)
-    buf = x * inv[:, None]
-    np.rint(buf, out=buf)
-    buf += zp.astype(np.float32)[:, None]
-    np.clip(buf, 0, 255, out=buf)
-    q = buf.astype(np.uint8)
-    acc = q.astype(np.int64) @ w.astype(np.int64)
-    colsum = w.astype(np.int64).sum(axis=0)
-    corrected = (acc - zp[:, None].astype(np.int64) * colsum[None, :]).astype(
-        np.int32
-    )
-    out = corrected.astype(np.float32)
-    out *= (scale * np.float32(wscale))[:, None]
-    out += bias_m
-    return out
-
-
 def _self_test(qaffine_fn) -> bool:
-    """Validate the loaded kernel bitwise against the numpy reference.
+    """Validate the loaded kernel bitwise against the numpy fallback.
 
     Exercises negative, positive, all-zero and constant rows, widths
     that are not multiples of the vector/pack granularity, and both the
     4-row blocked path and the single-row remainder.
     """
+    from repro.nn.quant import _Int8Linear, int8_affine_numpy
+
     rng = np.random.default_rng(12345)
     k, m, n = 37, 23, 7
     w = rng.integers(-127, 128, (k, m), dtype=np.int8)
-    wp, kp, mp = pack_weights(w)
     x = (rng.standard_normal((n, k)) * 3).astype(np.float32)
     x[2] = 0.0
     x[3] = 1.5
     x[4] = -2.25
-    wscale = np.float32(0.037)
-    colsum = np.zeros(mp, dtype=np.int32)
-    colsum[:m] = w.astype(np.int32).sum(axis=0)
-    bias = np.zeros(mp, dtype=np.float32)
-    bias[:m] = rng.standard_normal(m).astype(np.float32)
+    linear = _Int8Linear(w, 0.037, rng.standard_normal(m).astype(np.float32))
+    wp, kp, mp, colsum, bias = linear.kernel_data()
     got = np.empty((n, mp), dtype=np.float32)
     qaffine_fn(
-        x.ctypes.data, wp.ctypes.data, ctypes.c_float(wscale),
+        x.ctypes.data, wp.ctypes.data, ctypes.c_float(linear.scale),
         colsum.ctypes.data, bias.ctypes.data, got.ctypes.data,
         n, k, kp, mp,
     )
-    expected = _numpy_reference(x, w, wscale, bias[:m])
-    return bool((got[:, :m] == expected).all())
+    return bool((got[:, :m] == int8_affine_numpy(x, linear)).all())
 
 
 def _bind(lib):
@@ -416,27 +369,9 @@ def _bind(lib):
 _KERNEL = cbuild.CompiledKernel("qkernel", _C_SOURCE, _bind, _self_test)
 
 
-def _load():
-    """The kernel entry point; None when unavailable or disabled."""
-    if quant_mode() == "numpy":
-        return None
-    return _KERNEL.get()
-
-
 def kernel_in_use() -> bool:
     """True when int8 matmuls will run through the compiled kernel."""
-    mode = quant_mode()
-    if mode == "numpy":
-        return False
-    if _load() is None:
-        if mode == "kernel":
-            raise TrainingError(
-                "REPRO_QUANT=kernel but the compiled int8 kernel is "
-                "unavailable (no C compiler, build failure, or self-test "
-                "mismatch); use REPRO_QUANT=auto to fall back to numpy"
-            )
-        return False
-    return True
+    return _KERNEL.get() is not None
 
 
 def pack_weights(w: np.ndarray) -> Tuple[np.ndarray, int, int]:
@@ -477,10 +412,10 @@ def qaffine(
     from :func:`pack_weights`; ``colsum_padded`` (int32) and
     ``bias_padded`` (float32) are length ``mp``.  Returns ``(n, mp)``
     float32 (callers slice off the column padding) — bitwise identical
-    to the numpy fallback in :mod:`repro.nn.quant` (pinned by the
+    to :func:`repro.nn.quant.int8_affine_numpy` (pinned by the
     load-time self-test).
     """
-    fn = _load()
+    fn = _KERNEL.get()
     if fn is None:
         raise TrainingError(
             "compiled int8 kernel unavailable; guard calls with "

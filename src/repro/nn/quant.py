@@ -1,43 +1,32 @@
-"""Post-training quantized inference: int8 and float16 model variants.
+"""Post-training int8 quantized inference.
 
 The distinguisher decides CIPHER vs RANDOM by thresholding an
 *accuracy*, so inference precision only matters when it moves verdicts
 — which leaves a lot of headroom.  :func:`quantize_model` converts a
 trained float :class:`~repro.nn.model.Sequential` into a
-:class:`QuantizedSequential` under one of two schemes:
+:class:`QuantizedSequential` whose Dense and Conv1D weight matrices are
+quantized per-tensor symmetric (``scale = max|W| / 127``) to int8 and
+whose matmuls run on integers: activations are quantized **per row**
+(dynamic asymmetric uint8), the product accumulates exactly in int32,
+and one fused dequantization step maps back to float32::
 
-``float16``
-    Weight storage halves (every parameter is stored as IEEE float16);
-    compute stays float32 — weights are expanded once at load.  A
-    memory/disk win with float-level latency.
+    q_x[i, :] = clip(rint(x[i, :] / s_i) + z_i, 0, 255)     (uint8)
+    acc       = q_x @ q_w                                    (int32)
+    y[i, :]   = (acc[i, :] - z_i * colsum(q_w)) * (s_i * s_w) + b
 
-``int8``
-    Dense and Conv1D weight matrices are quantized per-tensor
-    symmetric (``scale = max|W| / 127``) to int8, and their matmuls run
-    on integers: activations are quantized **per row** (dynamic
-    asymmetric uint8), the product accumulates exactly in int32, and
-    one fused dequantization step maps back to float32::
-
-        q_x[i, :] = clip(rint(x[i, :] / s_i) + z_i, 0, 255)     (uint8)
-        acc       = q_x @ q_w                                    (int32)
-        y[i, :]   = (acc[i, :] - z_i * colsum(q_w)) * (s_i * s_w) + b
-
-    Per-row (not per-batch) activation scales are what make batched
-    and unbatched predictions *bitwise identical* — each row's
-    ``(s_i, z_i)`` depends only on that row, and the integer matmul is
-    exact no matter how rows are grouped — so the micro-batching
-    engine's coalescing guarantee survives quantization unchanged.
-    LSTM weights are quantized weight-only (stored int8, expanded to
-    float32 at load): recurrent state is unbounded-ranged and cheap
-    relative to the projection GEMMs, so dynamic activation
-    quantization buys little there.  Biases always stay float32.
+Per-row (not per-batch) activation scales are what make batched and
+unbatched predictions *bitwise identical* — each row's ``(s_i, z_i)``
+depends only on that row, and the integer matmul is exact no matter how
+rows are grouped — so the micro-batching engine's coalescing guarantee
+survives quantization unchanged.  Every other parameter (biases, LSTM
+weights, small matrices) stays float32.
 
 The integer matmul runs through the compiled VNNI kernel when
-:mod:`repro.nn.backend.qkernel` is available and falls back to a
-float64 GEMM on the integer-valued operands otherwise — every u8×s8
-product is ≤ 2^15 and practical reductions stay far below 2^53, so the
-fallback is exact and **bit-identical** to the kernel (``REPRO_QUANT``
-selects: ``auto`` | ``kernel`` | ``numpy``).
+:mod:`repro.nn.backend.qkernel` builds and passes its self-test, and
+falls back to :func:`int8_affine_numpy` otherwise — a float64 GEMM on
+the integer-valued operands (every u8×s8 product is ≤ 2^15 and
+practical reductions stay far below 2^53), exact and **bit-identical**
+to the kernel; it is also the reference the kernel's self-test checks.
 
 Distinguisher inputs are bit vectors (values in {0, 1}), so the first
 quantized layer introduces *zero* input error; accumulated weight
@@ -62,17 +51,14 @@ from repro.nn.layers import Dense
 from repro.nn.model import Sequential, _layer_class
 from repro.utils.atomic import atomic_savez
 
-#: Supported quantization schemes.
-SCHEMES = ("int8", "float16")
-
 #: Bump when the quantized artifact layout changes incompatibly.
 QUANT_FORMAT_VERSION = 1
 
-#: Weight matrices smaller than this stay float32 under the int8
-#: scheme: per-row activation quantization costs a full pass over the
-#: input, which only pays for itself when it shrinks a large weight
-#: stream (the int8 win is bandwidth, and tiny GEMMs are not
-#: bandwidth-bound).  2^15 elements ≈ a 128x256 Dense kernel.
+#: Weight matrices smaller than this stay float32: per-row activation
+#: quantization costs a full pass over the input, which only pays for
+#: itself when it shrinks a large weight stream (the int8 win is
+#: bandwidth, and tiny GEMMs are not bandwidth-bound).  2^15 elements
+#: ≈ a 128x256 Dense kernel.
 INT8_MIN_WEIGHT_ELEMS = 1 << 15
 
 
@@ -164,15 +150,22 @@ def int8_affine(x: np.ndarray, linear: _Int8Linear) -> np.ndarray:
     (int32-exact accumulation and correction, then ``f32(corr) * rs +
     bias`` with mul-then-add rounding), so they are bit-identical.
     """
-    if qkernel.kernel_in_use():
-        packed, kp, mp, colsum_padded, bias_padded = linear.kernel_data()
-        x = np.ascontiguousarray(x, dtype=np.float32)
-        out = qkernel.qaffine(
-            x, packed, linear.scale, kp, mp, colsum_padded, bias_padded
-        )
-        if mp != linear.m:
-            out = np.ascontiguousarray(out[:, : linear.m])
-        return out
+    if not qkernel.kernel_in_use():
+        return int8_affine_numpy(x, linear)
+    packed, kp, mp, colsum_padded, bias_padded = linear.kernel_data()
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    out = qkernel.qaffine(
+        x, packed, linear.scale, kp, mp, colsum_padded, bias_padded
+    )
+    if mp != linear.m:
+        out = np.ascontiguousarray(out[:, : linear.m])
+    return out
+
+
+def int8_affine_numpy(x: np.ndarray, linear: _Int8Linear) -> np.ndarray:
+    """The numpy spelling of :func:`int8_affine`: the fallback when the
+    compiled kernel is unavailable, and the reference its load-time
+    self-test must match bitwise."""
     q, scale, zp = quantize_rows(x)
     rowscale = scale * linear.scale
     acc = (q.astype(np.float64) @ linear.q.astype(np.float64)).astype(np.int32)
@@ -226,7 +219,7 @@ class _Int8Conv1D(Conv1D):
 
 
 class QuantizedSequential:
-    """A quantized, inference-only variant of a :class:`Sequential`.
+    """An int8-quantized, inference-only variant of a :class:`Sequential`.
 
     Holds the parent's architecture config plus the quantized parameter
     arrays, and materialises an executable float32 stack on
@@ -236,36 +229,32 @@ class QuantizedSequential:
     plus ``save`` / ``load`` / ``digest`` for registry storage.
     """
 
-    def __init__(self, config: dict, arrays: Dict[str, np.ndarray], scheme: str):
-        if scheme not in SCHEMES:
-            known = ", ".join(SCHEMES)
-            raise TrainingError(
-                f"unknown quantization scheme {scheme!r}; known: {known}"
-            )
-        self.scheme = scheme
+    #: The scheme name written into every artifact's config and digest
+    #: and recorded in the registry manifest.
+    scheme = "int8"
+
+    def __init__(self, config: dict, arrays: Dict[str, np.ndarray]):
         self.config = config
         self.arrays = dict(arrays)
         self.input_shape: Tuple[int, ...] = tuple(
             int(s) for s in config["input_shape"]
         )
-        #: Compute dtype of the executable stack (weight *storage* is
-        #: int8/float16; all arithmetic outside the integer matmuls is
-        #: float32).
+        #: Compute dtype of the executable stack (all arithmetic
+        #: outside the integer matmuls is float32).
         self.dtype = np.dtype(np.float32)
         self._exec = self._build_exec()
 
     # -- execution stack ---------------------------------------------------
 
     def _layer_arrays(self, index: int):
-        """Yield ``(slot, plain, q, scale)`` per param of layer ``index``."""
+        """Yield ``(plain, q, scale)`` per param of layer ``index``."""
         slot = 0
         while True:
             base = f"layer{index}_param{slot}"
             if base in self.arrays:
-                yield slot, self.arrays[base], None, None
+                yield self.arrays[base], None, None
             elif f"{base}_q" in self.arrays:
                 yield (
-                    slot,
                     None,
                     self.arrays[f"{base}_q"],
                     float(self.arrays[f"{base}_scale"]),
@@ -273,16 +262,6 @@ class QuantizedSequential:
             else:
                 return
             slot += 1
-
-    def _dequantized_params(self, index: int):
-        """Layer ``index``'s parameters expanded to float32."""
-        params = []
-        for _slot, plain, q, scale in self._layer_arrays(index):
-            if plain is not None:
-                params.append(plain.astype(np.float32))
-            else:
-                params.append(q.astype(np.float32) * np.float32(scale))
-        return params
 
     def _check_arrays(self) -> None:
         """Raise :class:`LayerError` unless every parameter the
@@ -296,7 +275,7 @@ class QuantizedSequential:
         for index, layer in enumerate(reference.layers):
             stored = [
                 (plain if plain is not None else q).shape
-                for _slot, plain, q, _scale in self._layer_arrays(index)
+                for plain, q, _scale in self._layer_arrays(index)
             ]
             expected = [param.shape for param in layer.params]
             if stored != expected:
@@ -312,10 +291,15 @@ class QuantizedSequential:
             cfg = entry["config"]
             stored = list(self._layer_arrays(index))
             quantized = next(
-                ((q, scale) for _slot, plain, q, scale in stored if q is not None),
+                ((q, scale) for plain, q, scale in stored if q is not None),
                 None,
             )
-            if cls in (Dense, Conv1D) and quantized is not None:
+            if quantized is not None and cls not in (Dense, Conv1D):
+                raise LayerError(
+                    f"layer {index} ({entry['class']}) stores int8 "
+                    f"parameters; only Dense and Conv1D run int8 matmuls"
+                )
+            if quantized is not None:
                 use_bias = cfg.get("use_bias", True)
                 bias = (
                     self.arrays[f"layer{index}_param1"].astype(np.float32)
@@ -338,7 +322,7 @@ class QuantizedSequential:
                     )
                 continue
             layer = cls(**cfg)
-            params = self._dequantized_params(index)
+            params = [plain.astype(np.float32) for plain, _q, _s in stored]
             if params:
                 layer.params = params
                 layer.grads = [np.zeros_like(p) for p in params]
@@ -369,7 +353,7 @@ class QuantizedSequential:
         """Parameter count of the parent architecture."""
         total = 0
         for index in range(len(self.config["layers"])):
-            for _slot, plain, q, _scale in self._layer_arrays(index):
+            for plain, q, _scale in self._layer_arrays(index):
                 total += int((plain if plain is not None else q).size)
         return total
 
@@ -393,8 +377,11 @@ class QuantizedSequential:
         """Rebuild a variant saved with :meth:`save`.
 
         The contract of :meth:`Sequential.load`: a torn archive, an
-        unparsable config or a missing or misshapen array raises
-        :class:`LayerError`; a missing file stays ``FileNotFoundError``.
+        unparsable config, a scheme other than int8, int8 parameters on
+        a layer other than Dense/Conv1D, or a missing or misshapen array
+        raises :class:`LayerError`; a missing file stays
+        ``FileNotFoundError``, and a float model file is a
+        :class:`TrainingError`.
         """
         try:
             with np.load(path) as data:
@@ -412,7 +399,12 @@ class QuantizedSequential:
                 raise TrainingError(
                     f"{path!r} is not a quantized model artifact"
                 )
-            model = cls(config, arrays, scheme)
+            if scheme != cls.scheme:
+                raise LayerError(
+                    f"{path!r} uses quantization scheme {scheme!r}; only "
+                    f"{cls.scheme!r} is supported"
+                )
+            model = cls(config, arrays)
             model._check_arrays()
         except (zipfile.BadZipFile, EOFError, KeyError, TypeError,
                 ValueError) as exc:
@@ -449,25 +441,17 @@ def is_quantized_artifact(path: str) -> bool:
 
 
 def quantize_model(
-    model: Sequential,
-    scheme: str = "int8",
-    min_weight_elems: int = INT8_MIN_WEIGHT_ELEMS,
+    model: Sequential, min_weight_elems: int = INT8_MIN_WEIGHT_ELEMS
 ) -> QuantizedSequential:
-    """Produce a post-training quantized variant of a built ``model``.
+    """Produce the int8 variant of a built ``model``.
 
-    ``scheme`` is ``"int8"`` (integer matmuls for Dense/Conv1D,
-    weight-only for LSTM) or ``"float16"`` (half-precision weight
-    storage, float32 compute).  Under ``int8``, weight matrices with
-    fewer than ``min_weight_elems`` elements stay float32 — the
+    Dense and Conv1D weight matrices with at least ``min_weight_elems``
+    elements are quantized to int8; smaller ones stay float32 — the
     per-row activation quantization pass costs more than such a small
-    GEMM saves (pass ``0`` to quantize everything).  The parent model
-    is not modified.
+    GEMM saves (pass ``0`` to quantize every Dense/Conv1D matrix).
+    Biases and every other layer's parameters stay float32.  The parent
+    model is not modified.
     """
-    if scheme not in SCHEMES:
-        known = ", ".join(SCHEMES)
-        raise TrainingError(
-            f"unknown quantization scheme {scheme!r}; known: {known}"
-        )
     if model.input_shape is None:
         raise TrainingError("build the model before quantizing it")
     config = {
@@ -480,14 +464,13 @@ def quantize_model(
     }
     arrays: Dict[str, np.ndarray] = {}
     for index, layer in enumerate(model.layers):
+        matmul = type(layer) in (Dense, Conv1D)
         for slot, param in enumerate(layer.params):
             base = f"layer{index}_param{slot}"
-            if scheme == "float16":
-                arrays[base] = param.astype(np.float16)
-            elif param.ndim >= 2 and param.size >= min_weight_elems:
+            if matmul and param.ndim >= 2 and param.size >= min_weight_elems:
                 q, scale = quantize_weight(param)
                 arrays[f"{base}_q"] = q
                 arrays[f"{base}_scale"] = np.float32(scale)
             else:
                 arrays[base] = param.astype(np.float32)
-    return QuantizedSequential(config, arrays, scheme)
+    return QuantizedSequential(config, arrays)

@@ -86,7 +86,6 @@ class TestCommittedBaselines:
                 "predict_mlp_iii_f32_rows512",
                 "predict_mlp_iii_int8_rows512",
                 "predict_cnn_ii_int8_rows512",
-                "predict_lstm_ii_int8_rows512",
                 "serve_mlp_iii_int8_rows32",
                 "serve_mlp_iii_int8_rows256",
             },

@@ -12,7 +12,6 @@ import pytest
 from repro.core.distinguisher import MLDistinguisher
 from repro.core.scenario import ToySpeckScenario
 from repro.errors import LayerError, TrainingError
-from repro.nn.blocks import gohr_resnet
 from repro.nn.layers import Dense, Dropout, ReLU, Softmax
 from repro.nn.losses import one_hot
 from repro.nn.model import Sequential
@@ -67,14 +66,6 @@ class TestDtypePropagation:
         model.build((4, 6), rng=0)
         model.compile(dtype="float32")
         out = model.forward(np.zeros((3, 4, 6)), training=True)
-        assert out.dtype == np.float32
-
-    def test_residual_tower_follows_dtype(self):
-        model = gohr_resnet(depth=1, filters=4, dense_units=8)
-        model.build((64,), rng=0)
-        model.compile(dtype="float32")
-        assert all(p.dtype == np.float32 for p in model._gather()[0])
-        out = model.forward(np.zeros((2, 64)), training=True)
         assert out.dtype == np.float32
 
     def test_rejects_non_float_dtype(self):

@@ -409,7 +409,6 @@ class TestKernelCacheFaults:
     @pytest.fixture
     def kernels(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cbuild.KERNEL_DIR_ENV_VAR, str(tmp_path))
-        monkeypatch.delenv("REPRO_QUANT", raising=False)
         for kernel in cbuild._KERNELS.values():
             monkeypatch.setattr(kernel, "_loaded", False)
             monkeypatch.setattr(kernel, "_entry", None)

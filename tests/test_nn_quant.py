@@ -1,9 +1,10 @@
-"""Tests for int8/float16 quantized inference and its serving path.
+"""Tests for int8 quantized inference and its serving path.
 
 The load-bearing properties:
 
 * the compiled VNNI kernel and the numpy fallback are **bit-identical**
-  (``REPRO_QUANT`` flips between them);
+  (patching the kernel's ``get`` to ``lambda: None`` forces the
+  fallback);
 * fully-quantized inference is **batch-size invariant** bitwise, so the
   micro-batching engine's coalescing guarantee survives quantization;
 * save -> register -> load -> serve round-trips preserve content
@@ -13,13 +14,15 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.errors import LayerError, TrainingError
+from repro.errors import LayerError, RegistryError, TrainingError
 from repro.nn import (
+    LSTM,
     Conv1D,
     Dense,
     Flatten,
@@ -74,6 +77,48 @@ def make_report(accuracy=0.8, t=2):
 
 def bits(rng, n, features):
     return (rng.random((n, features)) < 0.5).astype(np.float32)
+
+
+#: Quantized artifacts this build cannot read: an unknown scheme, the
+#: float16 scheme that earlier builds wrote, and weight-only int8 LSTM
+#: matrices (earlier builds quantized them; only Dense/Conv1D run int8).
+UNSUPPORTED = ["int4", "float16", "int8_lstm"]
+
+
+def write_unsupported(path, damage):
+    """Overwrite the int8 artifact at ``path`` (a :func:`make_model`
+    variant) with one of the :data:`UNSUPPORTED` layouts."""
+    with np.load(path) as data:
+        arrays = {key: np.array(data[key]) for key in data.files}
+    config = json.loads(bytes(arrays.pop("config")).decode())
+    if damage == "int4":
+        config["quant_scheme"] = "int4"
+    elif damage == "float16":
+        config["quant_scheme"] = "float16"
+        for key in [key for key in arrays if key.endswith("_q")]:
+            base = key[: -len("_q")]
+            scale = arrays.pop(f"{base}_scale")
+            arrays[base] = arrays.pop(key) * scale
+        arrays = {key: a.astype(np.float16) for key, a in arrays.items()}
+    else:
+        lstm = Sequential([Reshape((4, 3)), LSTM(4), Dense(2), Softmax()])
+        lstm.build((12,), np.random.default_rng(0))
+        config["input_shape"] = [12]
+        config["layers"] = [
+            {"class": layer.name, "config": layer.get_config()}
+            for layer in lstm.layers
+        ]
+        arrays = {}
+        for index, layer in enumerate(lstm.layers):
+            for slot, param in enumerate(layer.params):
+                base = f"layer{index}_param{slot}"
+                if isinstance(layer, LSTM) and param.ndim == 2:
+                    arrays[f"{base}_q"], scale = quantize_weight(param)
+                    arrays[f"{base}_scale"] = np.float32(scale)
+                else:
+                    arrays[base] = param.astype(np.float32)
+    arrays["config"] = np.frombuffer(json.dumps(config).encode(), np.uint8)
+    np.savez(path, **arrays)
 
 
 # -- primitives -------------------------------------------------------------
@@ -132,21 +177,12 @@ class TestKernelParity:
         linear = _Int8Linear(q, scale, rng.normal(size=33).astype(np.float32))
         x = rng.normal(size=(17, 96)).astype(np.float32)
         x[3] = 0.0  # all-zero row: scale-0 edge case on both paths
-        monkeypatch.setenv("REPRO_QUANT", "kernel")
         via_kernel = int8_affine(x, linear)
-        monkeypatch.setenv("REPRO_QUANT", "numpy")
+        monkeypatch.setattr(qkernel._KERNEL, "get", lambda: None)
+        assert not qkernel.kernel_in_use()
         via_numpy = int8_affine(x, linear)
         assert via_kernel.dtype == via_numpy.dtype == np.float32
         assert via_kernel.tobytes() == via_numpy.tobytes()
-
-    def test_quant_mode_validates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUANT", "fast")
-        with pytest.raises(TrainingError, match="REPRO_QUANT"):
-            qkernel.quant_mode()
-
-    def test_kernel_mode_numpy_disables_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUANT", "numpy")
-        assert not qkernel.kernel_in_use()
 
     def test_pack_weights_pads_to_lanes(self, rng):
         q = rng.integers(-127, 128, size=(10, 5)).astype(np.int8)
@@ -160,10 +196,6 @@ class TestKernelParity:
 
 
 class TestQuantizeModel:
-    def test_unknown_scheme_rejected(self, rng):
-        with pytest.raises(TrainingError, match="scheme"):
-            quantize_model(make_model(rng), scheme="int4")
-
     def test_unbuilt_model_rejected(self):
         with pytest.raises(TrainingError, match="build"):
             quantize_model(Sequential([Dense(4)]))
@@ -171,14 +203,14 @@ class TestQuantizeModel:
     def test_parent_model_unchanged(self, rng):
         model = make_model(rng)
         before = [p.copy() for layer in model.layers for p in layer.params]
-        quantize_model(model, "int8", min_weight_elems=0)
+        quantize_model(model, min_weight_elems=0)
         after = [p for layer in model.layers for p in layer.params]
         for a, b in zip(before, after):
             assert a.tobytes() == b.tobytes()
 
     def test_small_weights_stay_float_by_default(self, rng):
         model = make_model(rng)  # largest kernel is 16x3 << 2^15
-        quantized = quantize_model(model, "int8")
+        quantized = quantize_model(model)
         assert not any(key.endswith("_q") for key in quantized.arrays)
         x = bits(np.random.default_rng(1), 8, 12)
         assert (
@@ -187,7 +219,7 @@ class TestQuantizeModel:
         )
 
     def test_min_weight_elems_zero_quantizes_matrices(self, rng):
-        quantized = quantize_model(make_model(rng), "int8", min_weight_elems=0)
+        quantized = quantize_model(make_model(rng), min_weight_elems=0)
         assert "layer0_param0_q" in quantized.arrays
         assert quantized.arrays["layer0_param0_q"].dtype == np.int8
         assert "layer0_param1" in quantized.arrays  # bias stays float32
@@ -195,22 +227,9 @@ class TestQuantizeModel:
     def test_gate_threshold_is_two_to_fifteen(self):
         assert INT8_MIN_WEIGHT_ELEMS == 1 << 15
 
-    def test_float16_stores_half_precision(self, rng):
-        model = make_model(rng)
-        quantized = quantize_model(model, "float16")
-        assert all(a.dtype == np.float16 for a in quantized.arrays.values())
-
-    def test_float16_predictions_close_to_parent(self, rng):
-        model = make_model(rng)
-        quantized = quantize_model(model, "float16")
-        x = bits(np.random.default_rng(2), 64, 12)
-        a = model.predict_proba(x)
-        b = quantized.predict_proba(x)
-        assert np.abs(a - b).max() < 1e-2
-
     def test_int8_predictions_close_to_parent(self, rng):
         model = make_model(rng)
-        quantized = quantize_model(model, "int8", min_weight_elems=0)
+        quantized = quantize_model(model, min_weight_elems=0)
         x = bits(np.random.default_rng(3), 64, 12)
         a = model.predict_proba(x)
         b = quantized.predict_proba(x)
@@ -218,29 +237,40 @@ class TestQuantizeModel:
 
     def test_conv_model_quantizes(self, rng):
         model = make_cnn(rng)
-        quantized = quantize_model(model, "int8", min_weight_elems=0)
+        quantized = quantize_model(model, min_weight_elems=0)
         assert "layer1_param0_q" in quantized.arrays
         x = bits(np.random.default_rng(4), 32, 16)
         a = model.predict_proba(x)
         b = quantized.predict_proba(x)
         assert np.argmax(a, axis=1).tolist() == np.argmax(b, axis=1).tolist()
 
+    def test_lstm_parameters_stay_float32(self, rng):
+        model = Sequential([Reshape((4, 3)), LSTM(8), Dense(2), Softmax()])
+        model.build((12,), rng).compile(dtype="float32")
+        quantized = quantize_model(model, min_weight_elems=0)
+        assert "layer2_param0_q" in quantized.arrays
+        assert not any(key.startswith("layer1_") and key.endswith("_q")
+                       for key in quantized.arrays)
+        for slot, param in enumerate(model.layers[1].params):
+            stored = quantized.arrays[f"layer1_param{slot}"]
+            assert stored.dtype == np.float32
+            assert stored.tobytes() == param.tobytes()
+
     def test_quantized_layers_are_inference_only(self, rng):
-        quantized = quantize_model(make_model(rng), "int8", min_weight_elems=0)
+        quantized = quantize_model(make_model(rng), min_weight_elems=0)
         x = bits(np.random.default_rng(5), 4, 12)
         with pytest.raises(TrainingError, match="inference-only"):
             quantized._exec.forward(x, training=True)
 
     def test_count_params_matches_parent(self, rng):
         model = make_model(rng)
-        for scheme in ("int8", "float16"):
-            quantized = quantize_model(model, scheme, min_weight_elems=0)
-            assert quantized.count_params() == model.count_params()
+        quantized = quantize_model(model, min_weight_elems=0)
+        assert quantized.count_params() == model.count_params()
 
 
 class TestBatchInvariance:
     def test_fully_quantized_predict_is_batch_size_invariant(self, rng):
-        quantized = quantize_model(make_model(rng), "int8", min_weight_elems=0)
+        quantized = quantize_model(make_model(rng), min_weight_elems=0)
         x = bits(np.random.default_rng(6), 40, 12)
         fused = quantized.predict_proba(x, batch_size=40)
         for batch_size in (1, 7, 16):
@@ -248,7 +278,7 @@ class TestBatchInvariance:
             assert chunked.tobytes() == fused.tobytes()
 
     def test_row_results_independent_of_neighbours(self, rng):
-        quantized = quantize_model(make_model(rng), "int8", min_weight_elems=0)
+        quantized = quantize_model(make_model(rng), min_weight_elems=0)
         x = bits(np.random.default_rng(7), 10, 12)
         fused = quantized.predict_proba(x, batch_size=10)
         for i in range(10):
@@ -260,18 +290,13 @@ class TestBatchInvariance:
 
 
 class TestRoundtrip:
-    @pytest.mark.parametrize("scheme", ["int8", "float16"])
-    def test_save_load_preserves_content_and_predictions(
-        self, rng, tmp_path, scheme
-    ):
-        quantized = quantize_model(
-            make_model(rng), scheme, min_weight_elems=0
-        )
+    def test_save_load_preserves_content_and_predictions(self, rng, tmp_path):
+        quantized = quantize_model(make_model(rng), min_weight_elems=0)
         path = str(tmp_path / "variant.npz")
         quantized.save(path)
         assert is_quantized_artifact(path)
         loaded = QuantizedSequential.load(path)
-        assert loaded.scheme == scheme
+        assert loaded.scheme == "int8"
         assert loaded.digest() == quantized.digest()
         assert sorted(loaded.arrays) == sorted(quantized.arrays)
         for key, array in quantized.arrays.items():
@@ -289,7 +314,7 @@ class TestRoundtrip:
     ):
         model = make_model(rng)
         if scheme is not None:
-            model = quantize_model(model, scheme, min_weight_elems=0)
+            model = quantize_model(model, min_weight_elems=0)
         path = tmp_path / "model.npz"
         model.save(str(path))
         before = path.read_bytes()
@@ -317,7 +342,7 @@ class TestRoundtrip:
     )
     def test_torn_artifact_raises_layer_error(self, rng, tmp_path, damage):
         path = str(tmp_path / "variant.npz")
-        quantize_model(make_model(rng), "int8", min_weight_elems=0).save(path)
+        quantize_model(make_model(rng), min_weight_elems=0).save(path)
         if damage == "truncate":
             with open(path, "r+b") as handle:
                 handle.truncate(handle.seek(0, 2) // 2)
@@ -338,6 +363,17 @@ class TestRoundtrip:
         with pytest.raises(LayerError):
             QuantizedSequential.load(path)
 
+    @pytest.mark.parametrize("damage", UNSUPPORTED)
+    def test_unsupported_artifact_raises_layer_error(
+        self, rng, tmp_path, damage
+    ):
+        path = str(tmp_path / "variant.npz")
+        quantize_model(make_model(rng), min_weight_elems=0).save(path)
+        write_unsupported(path, damage)
+        assert is_quantized_artifact(path)
+        with pytest.raises(LayerError, match="scheme|int8"):
+            QuantizedSequential.load(path)
+
 
 class TestRegistry:
     def _register_parent(self, rng, tmp_path):
@@ -355,7 +391,7 @@ class TestRegistry:
 
     def test_register_load_serve_roundtrip(self, rng, tmp_path):
         registry, model, parent = self._register_parent(rng, tmp_path)
-        quantized = quantize_model(model, "int8", min_weight_elems=0)
+        quantized = quantize_model(model, min_weight_elems=0)
         record = registry.register_quantized(quantized, "toy")
         assert record.name == "toy-int8"
         assert record.model_id == quantized.digest()
@@ -372,7 +408,7 @@ class TestRegistry:
 
     def test_register_quantized_is_idempotent(self, rng, tmp_path):
         registry, model, _parent = self._register_parent(rng, tmp_path)
-        quantized = quantize_model(model, "int8", min_weight_elems=0)
+        quantized = quantize_model(model, min_weight_elems=0)
         first = registry.register_quantized(quantized, "toy")
         second = registry.register_quantized(quantized, "toy")
         assert first.model_id == second.model_id
@@ -383,7 +419,7 @@ class TestRegistry:
         data_rng = np.random.default_rng(10)
         features = bits(data_rng, 400, 12)
         labels = model.predict_classes(features)
-        quantized = quantize_model(model, "int8", min_weight_elems=0)
+        quantized = quantize_model(model, min_weight_elems=0)
         record = registry.register_quantized(
             quantized, "toy", holdout=(features, labels)
         )
@@ -392,29 +428,25 @@ class TestRegistry:
         assert abs(section["accuracy_delta_pp"]) <= 0.5
         assert record.summary()["quantization"] == "int8"
 
-    def test_float16_delta_is_zero_on_agreeing_labels(self, rng, tmp_path):
+    @pytest.mark.parametrize("damage", UNSUPPORTED)
+    def test_unsupported_artifact_raises_registry_error(
+        self, rng, tmp_path, damage
+    ):
         registry, model, _parent = self._register_parent(rng, tmp_path)
-        data_rng = np.random.default_rng(11)
-        features = bits(data_rng, 200, 12)
-        labels = model.predict_classes(features)
-        quantized = quantize_model(model, "float16")
         record = registry.register_quantized(
-            quantized, "toy", holdout=(features, labels)
+            quantize_model(model, min_weight_elems=0), "toy"
         )
-        assert record.manifest["quantization"]["accuracy_delta_pp"] == pytest.approx(
-            0.0, abs=0.5
-        )
+        write_unsupported(record.model_path, damage)
+        with pytest.raises(RegistryError, match="unreadable"):
+            registry.load("toy-int8")
 
 
 # -- the micro-batching engine on quantized models -------------------------
 
 
 class TestEngineCoalescing:
-    @pytest.mark.parametrize("scheme", ["int8", "float16"])
-    def test_coalesced_batch_bitwise_equals_fused_predict(self, rng, scheme):
-        quantized = quantize_model(
-            make_model(rng), scheme, min_weight_elems=0
-        )
+    def test_coalesced_batch_bitwise_equals_fused_predict(self, rng):
+        quantized = quantize_model(make_model(rng), min_weight_elems=0)
         data_rng = np.random.default_rng(12)
         batches = [bits(data_rng, rows, 12) for rows in (3, 1, 4, 2, 5)]
         engine = MicroBatchEngine(

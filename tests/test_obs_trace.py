@@ -166,16 +166,13 @@ class TestManifest:
         )
         manifest = json.loads(manifest_path.read_text())
         assert manifest["experiment"] == "complexity"
-        assert manifest["manifest_version"] == 4
+        assert manifest["manifest_version"] == 5
         assert manifest["run_id"]
         assert manifest["obs"]["trace_file"] == "trace_merged.json"
         assert manifest["duration_s"] > 0.0
-        from repro.nn.backend import qkernel
-
         assert manifest["compute"] == {
             "blas_threads_controllable": manifest["compute"][
                 "blas_threads_controllable"],
-            "quant_mode": qkernel.quant_mode(),
             "kernels": cbuild.kernels_in_use(),
         }
         names = [s["name"] for s in manifest["spans"]]

@@ -309,9 +309,7 @@ class TestEndToEndGame:
             distinguisher.model, "gimli-hash-r5", scenario=scenario, report=report
         )
         holdout, labels = scenario.generate_dataset(500, rng=41)
-        quantized = quantize_model(
-            distinguisher.model, "int8", min_weight_elems=0
-        )
+        quantized = quantize_model(distinguisher.model, min_weight_elems=0)
         record = registry.register_quantized(
             quantized, "gimli-hash-r5", holdout=(holdout, labels)
         )

@@ -166,7 +166,7 @@ class TestLoadedModel:
         model = make_model(rng)
         registry.register(model, "m")
         record = registry.register_quantized(
-            quantize_model(model, "int8", min_weight_elems=0), "m"
+            quantize_model(model, min_weight_elems=0), "m"
         )
         with open(record.model_path, "r+b") as handle:
             handle.truncate(handle.seek(0, 2) // 2)
