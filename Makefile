@@ -27,8 +27,8 @@ bench-check:
 	PYTHONPATH=src $(PYTHON) benchmarks/check_regression.py
 
 # Start the online-phase serving endpoint over the on-disk registry
-# (REGISTRY=dir to point elsewhere; REPRO_SERVE_MAX_BATCH /
-# REPRO_SERVE_MAX_WAIT_MS tune micro-batching, see EXPERIMENTS.md).
+# (REGISTRY=dir to point elsewhere; the --max-batch / --max-wait-ms
+# flags of `python -m repro.serve` tune micro-batching).
 serve:
 	PYTHONPATH=src $(PYTHON) -m repro.serve --registry $(REGISTRY)
 

@@ -52,7 +52,7 @@ def main() -> None:
           f"{paper_score:.4f} (noise floor {oracle.noise_floor():.4f})")
 
     # -- 2. let the optimizer search the full 16-bit space ------------
-    config = SearchConfig.from_env(
+    config = SearchConfig(
         population_size=24, generations=args.generations, seed=args.seed
     )
     start = time.perf_counter()

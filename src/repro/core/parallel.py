@@ -39,34 +39,20 @@ from repro.obs import context as obs_context
 from repro.obs import events as obs_events
 from repro.obs import log as obs_log
 from repro.obs.trace import span
-from repro.utils.env import env_number
 from repro.utils.rng import RngLike
 
 _log = obs_log.get_logger("repro.parallel")
 
 #: Warn when a cell has been in flight longer than this multiple of the
-#: median completed-cell duration (``REPRO_OBS_STALL_FACTOR``; <= 0
-#: disables the detector).
-DEFAULT_STALL_FACTOR = 4.0
+#: median completed-cell duration.
+STALL_FACTOR = 4.0
 
-#: How often the parent polls the pool while waiting for the next cell
-#: (``REPRO_OBS_STALL_POLL_S``); also the stall-warning granularity.
-DEFAULT_STALL_POLL_S = 1.0
+#: How often the parent polls the pool while waiting for the next cell;
+#: also the stall-warning granularity.
+STALL_POLL_S = 1.0
 
 #: Completed-cell durations needed before the median is trusted.
 MIN_STALL_SAMPLES = 3
-
-
-def stall_factor_from_env() -> float:
-    """``REPRO_OBS_STALL_FACTOR`` (default 4.0; values <= 0 disable)."""
-    return env_number("REPRO_OBS_STALL_FACTOR", DEFAULT_STALL_FACTOR, float,
-                      error=DistinguisherError)
-
-
-def stall_poll_from_env() -> float:
-    """``REPRO_OBS_STALL_POLL_S`` (default 1.0 s; must be positive)."""
-    return env_number("REPRO_OBS_STALL_POLL_S", DEFAULT_STALL_POLL_S, float,
-                      error=DistinguisherError, above=0)
 
 
 def _context_task(fn: Callable) -> Callable:
@@ -233,7 +219,7 @@ def run_grid(
     (:func:`repro.obs.context.current`), the dispatched function is
     wrapped so each pool worker flushes its spans and metrics into the
     run directory, and the parent watches for stalls while it waits: a
-    cell in flight longer than ``REPRO_OBS_STALL_FACTOR`` times the
+    cell in flight longer than :data:`STALL_FACTOR` times the
     median completed-cell duration (``duration_of(result)`` when the
     caller can extract one, inter-completion gaps otherwise) raises a
     warn-level log line plus a ``cell.stall`` run event — instead of
@@ -265,8 +251,6 @@ def run_grid(
                 )
         else:
             task = _context_task(fn)
-            stall_factor = stall_factor_from_env()
-            poll_s = stall_poll_from_env()
             durations: List[float] = []
             with multiprocessing.get_context().Pool(
                 processes=min(workers, len(payloads))
@@ -276,7 +260,7 @@ def run_grid(
                 for index in range(len(payloads)):
                     result = _next_with_stall_watch(
                         iterator, label, index, len(payloads), durations,
-                        last_done, stall_factor, poll_s,
+                        last_done,
                     )
                     now = time.perf_counter()
                     measured = None
@@ -303,37 +287,32 @@ def _next_with_stall_watch(
     total: int,
     durations: List[float],
     waiting_since: float,
-    stall_factor: float,
-    poll_s: float,
 ):
     """``iterator.next()`` with a stall warning while the parent waits.
 
     Polls the pool's order-preserving iterator; once the wait for the
-    next cell exceeds ``stall_factor`` times the median completed-cell
-    duration (given ``MIN_STALL_SAMPLES`` completions), emits one
-    warn-level log line and one ``cell.stall`` run event, then keeps
-    waiting.  ``stall_factor <= 0`` waits without polling — exactly the
-    historical blocking behaviour.
+    next cell exceeds :data:`STALL_FACTOR` times the median
+    completed-cell duration (given ``MIN_STALL_SAMPLES`` completions),
+    emits one warn-level log line and one ``cell.stall`` run event, then
+    keeps waiting.  Both constants are read at call time.
     """
-    if stall_factor <= 0:
-        return iterator.next()
     warned = False
     while True:
         try:
-            return iterator.next(timeout=poll_s)
+            return iterator.next(timeout=STALL_POLL_S)
         except multiprocessing.TimeoutError:
             if warned or len(durations) < MIN_STALL_SAMPLES:
                 continue
             waited = time.perf_counter() - waiting_since
             median_s = statistics.median(durations)
-            if waited <= stall_factor * median_s:
+            if waited <= STALL_FACTOR * median_s:
                 continue
             warned = True
             _log.warning(
                 f"{label}.stall",
                 waiting_s=round(waited, 3),
                 median_cell_s=round(median_s, 3),
-                factor=stall_factor,
+                factor=STALL_FACTOR,
                 done=index,
                 total=total,
             )
@@ -342,7 +321,7 @@ def _next_with_stall_watch(
                 label=label,
                 waiting_s=round(waited, 3),
                 median_cell_s=round(median_s, 3),
-                factor=stall_factor,
+                factor=STALL_FACTOR,
                 done=index,
                 total=total,
             )

@@ -330,24 +330,3 @@ def default_seeds(max_columns: int = 1) -> List[StateDiff]:
             diff[word] = 1 << bit
             seeds.append(tuple(diff))
     return seeds
-
-
-def exhibit_table1_weights(
-    max_rounds: int = 4,
-    beam_width: int = 24,
-    variants: int = 3,
-    start_round: int = GIMLI_ROUNDS,
-) -> Dict[int, float]:
-    """Best exhibited trail weight per round count (heuristic upper bounds)."""
-    seeds = default_seeds()
-    results: Dict[int, float] = {}
-    for rounds in range(1, max_rounds + 1):
-        weight_zero = find_weight_zero_trails(rounds, start_round)
-        if weight_zero:
-            results[rounds] = 0.0
-            continue
-        trail = beam_search_trail(
-            seeds, rounds, start_round, beam_width=beam_width, variants=variants
-        )
-        results[rounds] = trail.weight
-    return results

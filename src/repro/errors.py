@@ -17,10 +17,6 @@ class CipherError(ReproError):
     """Invalid cipher parameters (state size, round window, key size...)."""
 
 
-class PaddingError(CipherError):
-    """Malformed input to a padding or mode-of-operation routine."""
-
-
 class ShapeError(ReproError):
     """A numpy array argument has the wrong shape or dtype."""
 

@@ -6,7 +6,7 @@ experiments therefore take explicit sizes, with defaults derived from
 the paper's sizes times ``REPRO_SCALE`` (``0.0 < scale <= 1.0``).
 ``REPRO_SCALE=1.0`` reproduces the paper's data budget exactly.
 
-Two further environment knobs tune the engine without changing any
+Further environment knobs tune the engine without changing any
 experiment's semantics:
 
 * ``REPRO_WORKERS`` — dataset-generation worker count.  Unset keeps the
@@ -25,11 +25,11 @@ runners train independent (cipher, rounds, network) cells in that many
 worker processes, with per-cell seed material derived up front so the
 results are identical for every worker count.
 
-The automated input-difference search has its own budget knobs
-(``REPRO_SEARCH_POPULATION`` / ``_GENERATIONS`` / ``_SAMPLES`` /
-``_SEED`` / ``_TOP_K`` — see :mod:`repro.search.evolve` and the
-EXPERIMENTS.md table); run manifests capture them with every other
-``REPRO_*`` variable automatically.
+The automated input-difference search takes its budget from a
+:class:`~repro.search.evolve.SearchConfig`: a scenario spec's
+``search`` section or the ``python -m repro.search`` flags, never the
+environment.  Run manifests capture every ``REPRO_*`` variable
+automatically.
 """
 
 from __future__ import annotations
@@ -64,14 +64,6 @@ def get_scale() -> float:
 def get_workers() -> Optional[int]:
     """Read ``REPRO_WORKERS`` (unset -> ``None``: single-stream path)."""
     return env_number("REPRO_WORKERS", None, error=ExperimentError, minimum=1)
-
-
-def get_dataset_cache():
-    """The :class:`~repro.core.cache.DatasetCache` named by
-    ``REPRO_DATASET_CACHE``, or ``None`` when caching is disabled."""
-    from repro.core.cache import DatasetCache
-
-    return DatasetCache.from_env()
 
 
 def get_dtype() -> Optional[str]:

@@ -83,7 +83,7 @@ def _run_search_toyspeck(
     oracle = BiasScoringOracle(
         builder.prototype(rounds=rounds), n_samples=n_samples, rng=rng
     )
-    config = SearchConfig.from_env(
+    config = SearchConfig(
         population_size=population_size,
         generations=generations,
         n_samples=n_samples,

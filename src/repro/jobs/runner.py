@@ -15,16 +15,13 @@ results).  With one, every cell becomes a persistent job:
   cells that were mid-flight — and those are reset to pending at the
   next start.
 
-Environment knobs (see EXPERIMENTS.md):
-
-* ``REPRO_JOBS_RETRIES`` — attempts per job before it fails terminally
-  (default 2);
-* ``REPRO_JOBS_BACKOFF`` — base backoff seconds between attempts,
-  doubled per retry (default 0.05);
-* ``REPRO_JOBS_MAX_CELLS`` — process at most this many jobs in one
-  invocation, then stop with the rest pending.  Exists for interruption
-  testing (a deterministic "kill") and for time-boxing a slice of a
-  large grid; the next invocation resumes where this one stopped.
+A job gets :data:`DEFAULT_MAX_ATTEMPTS` attempts, with a backoff of
+:data:`DEFAULT_BACKOFF_S` seconds doubled per retry.  One environment
+knob (see EXPERIMENTS.md): ``REPRO_JOBS_MAX_CELLS`` processes at most
+this many jobs in one invocation, then stops with the rest pending.  It
+exists for interruption testing (a deterministic "kill") and for
+time-boxing a slice of a large grid; the next invocation resumes where
+this one stopped.
 
 Because a job's result is JSON (written through
 :func:`~repro.jobs.queue.jsonify`, which is lossless for the float64
@@ -104,22 +101,12 @@ class JobRunner:
         self,
         queue: JobQueue,
         workers: Optional[int] = None,
-        max_attempts: Optional[int] = None,
-        backoff_s: Optional[float] = None,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        backoff_s: float = DEFAULT_BACKOFF_S,
         max_jobs: Optional[int] = None,
     ):
         self.queue = queue
         self.workers = workers
-        if max_attempts is None:
-            max_attempts = env_number(
-                "REPRO_JOBS_RETRIES", DEFAULT_MAX_ATTEMPTS, error=JobError,
-                minimum=1,
-            )
-        if backoff_s is None:
-            backoff_s = env_number(
-                "REPRO_JOBS_BACKOFF", DEFAULT_BACKOFF_S, float, error=JobError,
-                minimum=0,
-            )
         if max_jobs is None:
             max_jobs = env_number(
                 "REPRO_JOBS_MAX_CELLS", None, error=JobError, minimum=1

@@ -428,18 +428,6 @@ class QuantizedSequential:
         return digest.hexdigest()
 
 
-def is_quantized_artifact(path: str) -> bool:
-    """True when ``path`` is a :meth:`QuantizedSequential.save` file."""
-    try:
-        with np.load(path) as data:
-            if "config" not in data.files:
-                return False
-            config = json.loads(bytes(data["config"]).decode())
-    except (OSError, ValueError, json.JSONDecodeError):
-        return False
-    return "quant_scheme" in config
-
-
 def quantize_model(
     model: Sequential, min_weight_elems: int = INT8_MIN_WEIGHT_ELEMS
 ) -> QuantizedSequential:

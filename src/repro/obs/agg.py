@@ -138,15 +138,6 @@ def merged_chrome_trace(spans: List[dict]) -> Dict:
     return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
 
 
-def merge_chrome_trace(run_dir, out_path=None) -> Tuple[Path, Dict]:
-    """Write ``trace_merged.json`` for ``run_dir``; returns (path, trace)."""
-    run_dir = Path(run_dir)
-    trace = merged_chrome_trace(read_span_files(run_dir))
-    path = Path(out_path) if out_path is not None else run_dir / TRACE_MERGED
-    atomic_write(path, json.dumps(trace, sort_keys=True) + "\n")
-    return path, trace
-
-
 # -- metrics merge ----------------------------------------------------------
 
 

@@ -39,18 +39,9 @@ from repro.obs import log as obs_log
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
 from repro.search.oracle import BiasScoringOracle, DEFAULT_SAMPLES
-from repro.utils.env import env_number
 from repro.utils.rng import random_words
 
 _log = obs_log.get_logger("repro.search")
-
-#: Environment-variable names for the search budget knobs, mirrored by
-#: :meth:`SearchConfig.from_env` (see EXPERIMENTS.md).
-ENV_POPULATION = "REPRO_SEARCH_POPULATION"
-ENV_GENERATIONS = "REPRO_SEARCH_GENERATIONS"
-ENV_SAMPLES = "REPRO_SEARCH_SAMPLES"
-ENV_SEED = "REPRO_SEARCH_SEED"
-ENV_TOP_K = "REPRO_SEARCH_TOP_K"
 
 
 @dataclass(frozen=True)
@@ -85,21 +76,6 @@ class SearchConfig:
             raise SearchError(f"top_k must be >= 1, got {self.top_k}")
         if self.n_samples < 2:
             raise SearchError(f"n_samples must be >= 2, got {self.n_samples}")
-
-    @classmethod
-    def from_env(cls, **overrides) -> "SearchConfig":
-        """Defaults, overridden by ``REPRO_SEARCH_*``, then by kwargs."""
-        def knob(name, default, minimum=1):
-            return env_number(name, default, error=SearchError, minimum=minimum)
-
-        values = dict(
-            population_size=knob(ENV_POPULATION, cls.population_size, minimum=2),
-            generations=knob(ENV_GENERATIONS, cls.generations),
-            n_samples=knob(ENV_SAMPLES, cls.n_samples, minimum=2),
-            seed=knob(ENV_SEED, cls.seed, minimum=0),
-            top_k=knob(ENV_TOP_K, cls.top_k),
-        )
-        return cls(**{**values, **overrides})
 
 
 @dataclass

@@ -399,34 +399,6 @@ class BiasScoringOracle:
         self.score_batch(arr)
         return self._count_cache[arr[0].tobytes()] / float(self.n_samples)
 
-    def score_set(self, masks) -> float:
-        """Distinguishability of a difference *set* (the paper's ``t`` classes).
-
-        The single-difference score measures cipher-vs-random signal;
-        a ``t``-class distinguisher additionally needs the classes to be
-        separable from each other.  This returns the bottleneck pairwise
-        separation: the minimum over class pairs of the mean absolute
-        gap between their per-bit probability profiles (the statistic
-        :meth:`~repro.core.bias_baseline.BitBiasClassifier.bias_profile`
-        exposes after training).
-        """
-        arr = self._as_candidates(masks)
-        if arr.shape[0] < 2:
-            raise SearchError("a difference set needs at least 2 classes")
-        self.score_batch(arr)
-        profiles = np.stack(
-            [
-                self._count_cache[arr[row].tobytes()] / float(self.n_samples)
-                for row in range(arr.shape[0])
-            ]
-        )
-        worst = np.inf
-        for a in range(arr.shape[0]):
-            for b in range(a + 1, arr.shape[0]):
-                gap = float(np.abs(profiles[a] - profiles[b]).mean())
-                worst = min(worst, gap)
-        return worst
-
     def noise_floor(self) -> float:
         """Expected score of a useless difference (pure sampling noise).
 

@@ -25,6 +25,7 @@ metrics registry.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Dict, List, Optional, Sequence
 
@@ -65,7 +66,7 @@ def run_search(
     """The search stage alone: ranked differences for ``spec``."""
     if spec.search is None:
         raise SearchError(f"spec {spec.name!r} has no 'search' section")
-    config = SearchConfig.from_env(workers=workers, **spec.search)
+    config = SearchConfig(workers=workers, **spec.search)
     prototype = spec.prototype()
     oracle = BiasScoringOracle(
         prototype,
@@ -79,9 +80,8 @@ def run_search(
             spec.differences, dtype=prototype.difference_masks.dtype
         )
     allowed = spec.builder.allowed_bits(**spec.params)
-    top_k = max(config.top_k, spec.num_differences)
-    config = SearchConfig.from_env(
-        workers=workers, **{**spec.search, "top_k": top_k}
+    config = dataclasses.replace(
+        config, top_k=max(config.top_k, spec.num_differences)
     )
     return evolve_differences(oracle, config, allowed=allowed, seeds=seeds)
 

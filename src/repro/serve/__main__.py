@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.serve.engine import DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT_MS
 from repro.serve.http import create_server
 
 
@@ -24,12 +25,12 @@ def main(argv=None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8151)
     parser.add_argument(
-        "--max-batch", type=int, default=None,
-        help="micro-batch row cap (default: REPRO_SERVE_MAX_BATCH or 256)",
+        "--max-batch", type=int, default=DEFAULT_MAX_BATCH,
+        help=f"micro-batch row cap (default: {DEFAULT_MAX_BATCH})",
     )
     parser.add_argument(
-        "--max-wait-ms", type=float, default=None,
-        help="batch coalescing window (default: REPRO_SERVE_MAX_WAIT_MS or 2.0)",
+        "--max-wait-ms", type=float, default=DEFAULT_MAX_WAIT_MS,
+        help=f"batch coalescing window in ms (default: {DEFAULT_MAX_WAIT_MS})",
     )
     args = parser.parse_args(argv)
     server = create_server(

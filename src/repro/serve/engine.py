@@ -19,9 +19,10 @@ Flow control:
   with :class:`~repro.errors.ServeTimeout` rather than wasting compute
   on an answer nobody is waiting for.
 
-Knobs (constructor arguments, defaulting from the environment):
-``REPRO_SERVE_MAX_BATCH`` (default 256 rows) and
-``REPRO_SERVE_MAX_WAIT_MS`` (default 2.0 ms).
+Knobs (constructor arguments; the ``python -m repro.serve`` flags
+``--max-batch`` and ``--max-wait-ms``): ``max_batch`` (default
+:data:`DEFAULT_MAX_BATCH`, 256 rows) and ``max_wait_ms`` (default
+:data:`DEFAULT_MAX_WAIT_MS`, 2.0 ms).
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ from repro.nn.backend import blas
 from repro.nn.model import Sequential
 from repro.obs.trace import span
 from repro.serve.metrics import ServeMetrics
-from repro.utils.env import env_number
-
-#: Environment knobs (see EXPERIMENTS.md, "Serving knobs").
-MAX_BATCH_ENV_VAR = "REPRO_SERVE_MAX_BATCH"
-MAX_WAIT_MS_ENV_VAR = "REPRO_SERVE_MAX_WAIT_MS"
 
 DEFAULT_MAX_BATCH = 256
 DEFAULT_MAX_WAIT_MS = 2.0
@@ -71,8 +67,8 @@ class MicroBatchEngine:
     def __init__(
         self,
         model: Sequential,
-        max_batch: Optional[int] = None,
-        max_wait_ms: Optional[float] = None,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_queue: int = DEFAULT_MAX_QUEUE,
         metrics: Optional[ServeMetrics] = None,
         autostart: bool = True,
@@ -80,15 +76,6 @@ class MicroBatchEngine:
         if model.input_shape is None:
             raise ServeError("build the model before serving it")
         self.model = model
-        if max_batch is None:
-            max_batch = env_number(
-                MAX_BATCH_ENV_VAR, DEFAULT_MAX_BATCH, error=ServeError, minimum=1
-            )
-        if max_wait_ms is None:
-            max_wait_ms = env_number(
-                MAX_WAIT_MS_ENV_VAR, DEFAULT_MAX_WAIT_MS, float,
-                error=ServeError, above=0,
-            )
         self.max_batch = int(max_batch)
         wait_ms = float(max_wait_ms)
         if self.max_batch <= 0:

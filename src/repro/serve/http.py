@@ -54,7 +54,11 @@ from repro.errors import (
 from repro.obs import events as obs_events
 from repro.obs import log as obs_log
 from repro.serve.body import decode_body
-from repro.serve.engine import MicroBatchEngine
+from repro.serve.engine import (
+    DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_WAIT_MS,
+    MicroBatchEngine,
+)
 from repro.serve.metrics import ServeMetrics, SloPolicy
 from repro.serve.registry import ModelRecord, ModelRegistry
 from repro.serve.sessions import SessionStore
@@ -80,8 +84,8 @@ class ServeService:
     def __init__(
         self,
         registry: ModelRegistry,
-        max_batch: Optional[int] = None,
-        max_wait_ms: Optional[float] = None,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_queue: int = 1024,
         metrics: Optional[ServeMetrics] = None,
     ):
@@ -129,13 +133,13 @@ class ServeService:
         """Liveness plus rolling-window SLO verdict.
 
         The SLO (error rate and p99 latency over the recent HTTP
-        window, thresholds from ``REPRO_OBS_SLO_*``) is evaluated on
+        window, :class:`SloPolicy`'s default thresholds) is evaluated on
         every call; a breach degrades the reported status and emits a
         ``serve.slo_breach`` structured log line + run event.  The full
         verdict, and the map of which compiled kernels this process
         runs, are attached only with ``?verbose=1``.
         """
-        slo = SloPolicy.from_env().evaluate(self.metrics)
+        slo = SloPolicy().evaluate(self.metrics)
         if slo["status"] == "breached":
             _log.warning(
                 "serve.slo_breach",
@@ -406,8 +410,8 @@ class ServeServer(HttpServer):
         registry: ModelRegistry,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_batch: Optional[int] = None,
-        max_wait_ms: Optional[float] = None,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_queue: int = 1024,
         metrics: Optional[ServeMetrics] = None,
     ):

@@ -26,14 +26,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry, quantile
-from repro.utils.env import env_number
 
 #: Rolling (status, latency) window for SLO evaluation: big enough for a
 #: stable p99, small enough that a recovered server stops reporting a
 #: breach within a few hundred requests.
 HTTP_WINDOW = 512
 
-#: SLO defaults, each overridable by a ``REPRO_OBS_SLO_*`` knob.
+#: Default thresholds of :class:`SloPolicy` (the ones ``/healthz`` uses).
 DEFAULT_SLO_ERROR_RATE = 0.05
 DEFAULT_SLO_P99_MS = 250.0
 DEFAULT_SLO_MIN_SAMPLES = 20
@@ -183,10 +182,6 @@ class ServeMetrics:
             },
         }
 
-    def request_latencies(self) -> List[float]:
-        """The retained per-request latency window (seconds), oldest first."""
-        return self._request_latency.window_values()
-
 
 class SloPolicy:
     """Rolling-window SLO thresholds for the serving front-end.
@@ -224,24 +219,6 @@ class SloPolicy:
         self.error_rate = float(error_rate)
         self.p99_ms = float(p99_ms)
         self.min_samples = int(min_samples)
-
-    @classmethod
-    def from_env(cls) -> "SloPolicy":
-        """Thresholds from ``REPRO_OBS_SLO_*`` knobs (see EXPERIMENTS.md)."""
-        return cls(
-            error_rate=env_number(
-                "REPRO_OBS_SLO_ERROR_RATE", DEFAULT_SLO_ERROR_RATE, float,
-                error=ServeError, above=0, maximum=1,
-            ),
-            p99_ms=env_number(
-                "REPRO_OBS_SLO_P99_MS", DEFAULT_SLO_P99_MS, float,
-                error=ServeError, above=0,
-            ),
-            min_samples=env_number(
-                "REPRO_OBS_SLO_MIN_SAMPLES", DEFAULT_SLO_MIN_SAMPLES,
-                error=ServeError, minimum=1,
-            ),
-        )
 
     def evaluate(self, metrics: ServeMetrics) -> Dict:
         """The SLO verdict over the metrics' rolling HTTP window."""

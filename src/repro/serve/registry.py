@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.cache import scenario_fingerprint
 from repro.core.statistics import decision_threshold
-from repro.errors import LayerError, RegistryError
+from repro.errors import LayerError, RegistryError, TrainingError
 from repro.nn.model import Sequential
 from repro.nn.quant import QUANT_FORMAT_VERSION, QuantizedSequential
 from repro.utils.atomic import atomic_write
@@ -428,7 +428,7 @@ class ModelRegistry:
                 f"manifest for {record.model_id!r} exists but its weights "
                 f"file is missing"
             ) from None
-        except LayerError as exc:
+        except (LayerError, TrainingError) as exc:
             raise RegistryError(
                 f"weights file for {record.model_id!r} is unreadable: {exc}"
             ) from None

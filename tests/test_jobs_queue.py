@@ -9,6 +9,7 @@ import pytest
 from repro.errors import JobError
 from repro.jobs import JobQueue, bind_run, run_cells
 from repro.jobs.queue import jsonify, spec_fingerprint
+from repro.jobs.runner import DEFAULT_MAX_ATTEMPTS
 
 
 def _double(payload):
@@ -177,9 +178,7 @@ class TestRunCells:
         with pytest.raises(JobError):
             run_cells(_double, payloads, specs=specs, queue_dir=tmp_path)
 
-    def test_retry_recovers_transient_failure(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS_RETRIES", "2")
-        monkeypatch.setenv("REPRO_JOBS_BACKOFF", "0")
+    def test_retry_recovers_transient_failure(self, tmp_path):
         marker = tmp_path / "marker"
         payloads = [{"value": 7, "marker": str(marker)}]
         rows = run_cells(
@@ -191,10 +190,7 @@ class TestRunCells:
         assert record["status"] == "done"
         assert record["attempts"] == 2
 
-    def test_failing_cell_records_error_and_attempts(self, tmp_path,
-                                                     monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS_RETRIES", "3")
-        monkeypatch.setenv("REPRO_JOBS_BACKOFF", "0")
+    def test_failing_cell_records_error_and_attempts(self, tmp_path):
         payloads = [{"value": 0}, {"value": 1}]
         with pytest.raises(JobError, match="1 failed"):
             run_cells(
@@ -206,7 +202,7 @@ class TestRunCells:
         assert records[0]["status"] == "done"
         failed = records[1]
         assert failed["status"] == "failed"
-        assert failed["attempts"] == 3
+        assert failed["attempts"] == DEFAULT_MAX_ATTEMPTS
         assert failed["error_type"] == "ValueError"
         assert "cell 1 is broken" in failed["error"]
 
@@ -221,13 +217,3 @@ class TestRunCells:
         rows = run_cells(_double, payloads, specs=self._specs(4),
                          queue_dir=tmp_path)
         assert rows == [{"value": 2 * i} for i in range(4)]
-
-    def test_bad_env_knobs_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS_RETRIES", "zero")
-        with pytest.raises(JobError):
-            run_cells(_double, [{"value": 0}], specs=self._specs(1),
-                      queue_dir=tmp_path)
-        monkeypatch.setenv("REPRO_JOBS_RETRIES", "0")
-        with pytest.raises(JobError):
-            run_cells(_double, [{"value": 0}], specs=self._specs(1),
-                      queue_dir=tmp_path / "q2")

@@ -38,7 +38,6 @@ from repro.nn.quant import (
     INT8_MIN_WEIGHT_ELEMS,
     _Int8Linear,
     int8_affine,
-    is_quantized_artifact,
     quantize_rows,
     quantize_weight,
 )
@@ -294,7 +293,6 @@ class TestRoundtrip:
         quantized = quantize_model(make_model(rng), min_weight_elems=0)
         path = str(tmp_path / "variant.npz")
         quantized.save(path)
-        assert is_quantized_artifact(path)
         loaded = QuantizedSequential.load(path)
         assert loaded.scheme == "int8"
         assert loaded.digest() == quantized.digest()
@@ -332,7 +330,6 @@ class TestRoundtrip:
     def test_float_artifact_rejected(self, rng, tmp_path):
         path = str(tmp_path / "float.npz")
         make_model(rng).save(path)
-        assert not is_quantized_artifact(path)
         with pytest.raises(TrainingError, match="quantized"):
             QuantizedSequential.load(path)
 
@@ -370,7 +367,6 @@ class TestRoundtrip:
         path = str(tmp_path / "variant.npz")
         quantize_model(make_model(rng), min_weight_elems=0).save(path)
         write_unsupported(path, damage)
-        assert is_quantized_artifact(path)
         with pytest.raises(LayerError, match="scheme|int8"):
             QuantizedSequential.load(path)
 

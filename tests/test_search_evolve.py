@@ -7,13 +7,7 @@ import pytest
 
 from repro.errors import SearchError
 from repro.search.config import get_scenario_builder
-from repro.search.evolve import (
-    ENV_GENERATIONS,
-    ENV_POPULATION,
-    ENV_SEED,
-    SearchConfig,
-    evolve_differences,
-)
+from repro.search.evolve import SearchConfig, evolve_differences
 from repro.search.oracle import BiasScoringOracle
 
 
@@ -45,25 +39,6 @@ class TestSearchConfig:
     def test_rejects_nonpositive(self):
         with pytest.raises(SearchError):
             SearchConfig(generations=0)
-
-    def test_from_env_reads_knobs(self, monkeypatch):
-        monkeypatch.setenv(ENV_POPULATION, "10")
-        monkeypatch.setenv(ENV_GENERATIONS, "2")
-        monkeypatch.setenv(ENV_SEED, "0")
-        config = SearchConfig.from_env()
-        assert config.population_size == 10
-        assert config.generations == 2
-        assert config.seed == 0
-
-    def test_overrides_beat_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_POPULATION, "10")
-        config = SearchConfig.from_env(population_size=6, elite=2)
-        assert config.population_size == 6
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_GENERATIONS, "zero")
-        with pytest.raises(SearchError):
-            SearchConfig.from_env()
 
 
 class TestEvolve:

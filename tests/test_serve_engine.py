@@ -147,25 +147,26 @@ class TestValidation:
             assert engine.classify(np.ones(12, dtype=np.float32)).shape == (1, 3)
 
 
-class TestEnvKnobs:
-    def test_env_defaults_respected(self, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "37")
-        monkeypatch.setenv("REPRO_SERVE_MAX_WAIT_MS", "7.5")
+class TestKnobs:
+    def test_defaults(self, rng):
         engine = MicroBatchEngine(make_model(rng), autostart=False)
-        assert engine.max_batch == 37
+        assert engine.max_batch == 256
+        assert engine.max_wait_s == pytest.approx(2.0e-3)
+        engine.stop()
+
+    def test_explicit_args(self, rng):
+        engine = MicroBatchEngine(
+            make_model(rng), max_batch=8, max_wait_ms=7.5, autostart=False
+        )
+        assert engine.max_batch == 8
         assert engine.max_wait_s == pytest.approx(7.5e-3)
         engine.stop()
 
-    def test_explicit_args_override_env(self, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "37")
-        engine = MicroBatchEngine(make_model(rng), max_batch=8, autostart=False)
-        assert engine.max_batch == 8
-        engine.stop()
-
-    def test_malformed_env_rejected(self, rng, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "lots")
-        with pytest.raises(ServeError, match="REPRO_SERVE_MAX_BATCH"):
-            MicroBatchEngine(make_model(rng), autostart=False)
+    def test_invalid_args_rejected(self, rng):
+        with pytest.raises(ServeError, match="max_batch"):
+            MicroBatchEngine(make_model(rng), max_batch=0, autostart=False)
+        with pytest.raises(ServeError, match="max_wait_ms"):
+            MicroBatchEngine(make_model(rng), max_wait_ms=-1, autostart=False)
 
 
 class TestConcurrency:

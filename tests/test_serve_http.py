@@ -520,3 +520,52 @@ class TestFuzzPostRoutes:
         else:
             assert status == 400, payload
             assert isinstance(_strict_json(payload).get("error"), str)
+
+
+class TestCli:
+    """``python -m repro.serve`` is the deployment surface of the knobs."""
+
+    def _create_server_kwargs(self, monkeypatch, argv):
+        from repro.serve import __main__ as cli
+
+        class Captured(Exception):
+            pass
+
+        captured = {}
+
+        def create_server(registry_root, **kwargs):
+            captured.update(kwargs, registry_root=registry_root)
+            raise Captured  # stop before main() starts serving
+
+        monkeypatch.setattr(cli, "create_server", create_server)
+        with pytest.raises(Captured):
+            cli.main(argv)
+        return captured
+
+    def test_batching_flags_reach_the_engine(self, rng, tmp_path,
+                                             monkeypatch):
+        from repro.serve.http import ServeService
+
+        ModelRegistry(str(tmp_path)).register(make_model(rng), "unit")
+        kwargs = self._create_server_kwargs(monkeypatch, [
+            "--registry", str(tmp_path), "--port", "0",
+            "--max-batch", "8", "--max-wait-ms", "0.5",
+        ])
+        service = ServeService(
+            ModelRegistry(kwargs["registry_root"]),
+            max_batch=kwargs["max_batch"],
+            max_wait_ms=kwargs["max_wait_ms"],
+        )
+        try:
+            engine, _ = service.engine_for("unit")
+            assert engine.max_batch == 8
+            assert engine.max_wait_s == pytest.approx(0.5e-3)
+        finally:
+            service.stop()
+
+    def test_batching_defaults(self, tmp_path, monkeypatch):
+        kwargs = self._create_server_kwargs(
+            monkeypatch, ["--registry", str(tmp_path)]
+        )
+        assert kwargs["max_batch"] == 256
+        assert kwargs["max_wait_ms"] == 2.0

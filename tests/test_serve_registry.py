@@ -8,6 +8,7 @@ import pytest
 from repro import GimliHashScenario
 from repro.errors import RegistryError
 from repro.nn import Dense, ReLU, Sequential, Softmax, quantize_model
+from repro.nn.architectures import mlp_iii
 from repro.serve import ModelRegistry, model_digest
 
 
@@ -170,5 +171,16 @@ class TestLoadedModel:
         )
         with open(record.model_path, "r+b") as handle:
             handle.truncate(handle.seek(0, 2) // 2)
+        with pytest.raises(RegistryError, match="unreadable"):
+            registry.load(record.model_id)
+
+    def test_float_weights_under_int8_record_raise_registry_error(
+        self, rng, tmp_path
+    ):
+        registry = ModelRegistry(str(tmp_path))
+        model = mlp_iii().build((128,), rng).compile()
+        registry.register(model, "m")
+        record = registry.register_quantized(quantize_model(model), "m")
+        model.save(record.model_path)  # a float model where int8 belongs
         with pytest.raises(RegistryError, match="unreadable"):
             registry.load(record.model_id)

@@ -2,74 +2,30 @@
 
 Each knob is read through its real call site, so the table pins what
 the program does, not just what :func:`repro.utils.env.env_number` can
-do.
+do.  The knob tables of EXPERIMENTS.md must list exactly the knobs
+``src/`` reads.
 """
 
-import numpy as np
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.core.parallel import stall_factor_from_env, stall_poll_from_env
-from repro.errors import (
-    DistinguisherError,
-    ExperimentError,
-    JobError,
-    SearchError,
-    ServeError,
-    TrainingError,
-)
+from repro.errors import ExperimentError, JobError, TrainingError
 from repro.experiments.config import get_scale, get_workers
 from repro.jobs.runner import JobRunner
-from repro.nn import Dense, Sequential, Softmax
 from repro.nn.backend.blas import domain_threads
-from repro.search.evolve import SearchConfig
-from repro.serve import MicroBatchEngine
-from repro.serve.metrics import SloPolicy
 from repro.utils.env import env_number
 
-
-def _engine():
-    model = Sequential([Dense(2), Softmax()])
-    model.build((3,), np.random.default_rng(0))
-    engine = MicroBatchEngine(model, autostart=False)
-    engine.stop()
-    return engine
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # (knob, read, default, error type, boundary value, values just outside)
 KNOBS = [
-    ("REPRO_JOBS_RETRIES", lambda: JobRunner(None).max_attempts, 2,
-     JobError, "1", ["0"]),
-    ("REPRO_JOBS_BACKOFF", lambda: JobRunner(None).backoff_s, 0.05,
-     JobError, "0", ["-0.001"]),
     ("REPRO_JOBS_MAX_CELLS", lambda: JobRunner(None).max_jobs, None,
      JobError, "1", ["0"]),
-    ("REPRO_SEARCH_POPULATION",
-     lambda: SearchConfig.from_env(elite=1).population_size, 32,
-     SearchError, "2", ["1"]),
-    ("REPRO_SEARCH_GENERATIONS", lambda: SearchConfig.from_env().generations,
-     8, SearchError, "1", ["0"]),
-    ("REPRO_SEARCH_SAMPLES", lambda: SearchConfig.from_env().n_samples,
-     SearchConfig.n_samples, SearchError, "2", ["1"]),
-    ("REPRO_SEARCH_SEED", lambda: SearchConfig.from_env().seed, 0,
-     SearchError, "0", ["-1"]),
-    ("REPRO_SEARCH_TOP_K", lambda: SearchConfig.from_env().top_k, 4,
-     SearchError, "1", ["0"]),
-    ("REPRO_OBS_SLO_ERROR_RATE", lambda: SloPolicy.from_env().error_rate,
-     0.05, ServeError, "1", ["0", "1.001"]),
-    ("REPRO_OBS_SLO_P99_MS", lambda: SloPolicy.from_env().p99_ms, 250.0,
-     ServeError, "1e-09", ["0"]),
-    ("REPRO_OBS_SLO_MIN_SAMPLES", lambda: SloPolicy.from_env().min_samples,
-     20, ServeError, "1", ["0"]),
-    ("REPRO_SERVE_MAX_BATCH", lambda: _engine().max_batch, 256,
-     ServeError, "1", ["0"]),
-    ("REPRO_SERVE_MAX_WAIT_MS", lambda: _engine().max_wait_s * 1e3, 2.0,
-     ServeError, "1e-09", ["0"]),
     ("REPRO_SCALE", get_scale, 0.05, ExperimentError, "1", ["0", "1.001"]),
     ("REPRO_WORKERS", get_workers, None, ExperimentError, "1", ["0"]),
-    ("REPRO_OBS_STALL_FACTOR", stall_factor_from_env, 4.0,
-     DistinguisherError, "-1e300", []),
-    ("REPRO_OBS_STALL_POLL_S", stall_poll_from_env, 1.0,
-     DistinguisherError, "1e-09", ["0"]),
     ("REPRO_BLAS_THREADS_TRAIN", lambda: domain_threads("train"), None,
      TrainingError, "1", ["0"]),
     ("REPRO_BLAS_THREADS_SERVE", lambda: domain_threads("serve"), None,
@@ -125,3 +81,18 @@ class TestEnvNumber:
         monkeypatch.setenv("REPRO_T", "1.5")
         with pytest.raises(ValueError, match="REPRO_T must be an integer"):
             env_number("REPRO_T", 1, error=ValueError, minimum=1)
+
+
+class TestKnobDocs:
+    def test_read_knobs_match_documented_knobs(self):
+        read = set()
+        for path in (ROOT / "src").rglob("*.py"):
+            read.update(re.findall(r'"(REPRO_[A-Z0-9_]+)"',
+                                   path.read_text(encoding="utf-8")))
+        # The knob-table rows and bullets of EXPERIMENTS.md.
+        documented = set(re.findall(
+            r"^(?:\| |\* )`(REPRO_[A-Z0-9_]+)",
+            (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8"),
+            flags=re.MULTILINE,
+        ))
+        assert read == documented
