@@ -74,7 +74,7 @@ def main() -> None:
         for label, oracle, rng in [
             ("cipher oracle", scenario.cipher_oracle(), args.seed + 1),
             ("random oracle",
-             scenario.random_oracle(rng=args.seed + 2, memoize=False),
+             scenario.random_oracle(rng=args.seed + 2),
              args.seed + 3),
         ]:
             state = client.run_online_phase(

@@ -3,8 +3,9 @@
 Repeated table/figure runs regenerate identical datasets from scratch —
 for the paper's full-scale ``2^17.6``-sample grids that is minutes of
 cipher kernels per cell.  This module caches the output of the sharded
-generator (:func:`repro.core.parallel.generate_dataset_sharded`) on
-disk, keyed by a hash of everything that determines the result:
+generator (:func:`repro.core.parallel.generate_dataset_sharded`, behind
+every oracle-less ``generate_dataset`` call) on disk, keyed by a hash
+of everything that determines the result:
 
 * a structural fingerprint of the scenario (class name plus every
   constructor-reachable attribute, arrays included byte-for-byte);

@@ -87,11 +87,11 @@ class MLDistinguisher:
     :class:`~repro.nn.model.Sequential` with a ``t``-way softmax output
     works.
 
-    ``workers`` shards offline dataset generation across processes
-    (``None`` keeps the historical single-stream generator; see
-    :mod:`repro.core.parallel`).  ``dtype`` selects the network compute
-    precision (``"float32"`` or ``"float64"``; ``None`` keeps the
-    model's own default).
+    ``workers`` is the process count for offline dataset generation
+    (see :mod:`repro.core.parallel`); it changes wall clock, never the
+    samples.  ``dtype`` selects the network compute precision
+    (``"float32"`` or ``"float64"``; ``None`` keeps the model's own
+    default).
     """
 
     def __init__(
@@ -101,7 +101,7 @@ class MLDistinguisher:
         epochs: int = 5,
         batch_size: int = 128,
         rng=None,
-        workers: Optional[int] = None,
+        workers: int = 1,
         dtype=None,
     ):
         if epochs <= 0:

@@ -5,9 +5,9 @@ which it is (paper §1, "Our Contributions").  An oracle here is a
 batched map from scenario inputs to outputs:
 
 * :class:`CipherOracle` wraps the scenario's real pipeline;
-* :class:`RandomOracle` returns uniform outputs — by default it
-  memoises, so it behaves as a consistent random *function* (repeated
-  inputs get repeated answers), matching the formal game.
+* :class:`RandomOracle` returns uniform outputs and memoises them, so
+  it behaves as a consistent random *function* (repeated inputs get
+  repeated answers), matching the formal game.
 """
 
 from __future__ import annotations
@@ -50,20 +50,12 @@ class CipherOracle(Oracle):
 class RandomOracle(Oracle):
     """A uniformly random function with the same output geometry.
 
-    With ``memoize=True`` (default) repeated queries on identical
-    ``(input, context)`` pairs return identical answers, making this a
-    true random function.  For the sample sizes of the paper (< 2^20)
-    the memo table is small; pass ``memoize=False`` to trade exactness
-    for speed when inputs are known to be distinct.
+    Repeated queries on identical ``(input, context)`` pairs return
+    identical answers, making this a true random function.  For the
+    sample sizes of the paper (< 2^20) the memo table is small.
     """
 
-    def __init__(
-        self,
-        output_words: int,
-        word_width: int = 32,
-        rng=None,
-        memoize: bool = True,
-    ):
+    def __init__(self, output_words: int, word_width: int = 32, rng=None):
         if output_words <= 0:
             raise DistinguisherError(
                 f"output_words must be positive, got {output_words}"
@@ -73,7 +65,6 @@ class RandomOracle(Oracle):
         self.output_words = int(output_words)
         self.word_width = int(word_width)
         self._rng = make_rng(rng)
-        self._memoize = bool(memoize)
         self._memo = {}
 
     def _draw(self, n: int) -> np.ndarray:
@@ -92,8 +83,6 @@ class RandomOracle(Oracle):
     def query(self, inputs, context=None):
         inputs = np.asarray(inputs)
         n = inputs.shape[0]
-        if not self._memoize:
-            return self._draw(n)
         # This probe row is never used, but it is part of the seeded
         # stream: dropping it would change every later answer.
         dtype = self._draw(1).dtype

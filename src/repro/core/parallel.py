@@ -3,16 +3,17 @@
 Generating the paper's ``2^17.6``-sample training sets is embarrassingly
 parallel — every base input is independent — but a naive fork-join over
 one RNG stream would make the dataset depend on the worker count.  This
-module shards the work instead:
+module shards the work instead, and
+:meth:`~repro.core.scenario.DifferentialScenario.generate_dataset` is a
+thin wrapper over it, so every dataset a scenario builds is sharded:
 
 * ``n_per_class`` is cut into fixed-size shards (:data:`DEFAULT_SHARD_SIZE`
   base inputs each) **independent of the worker count**;
 * a root :class:`numpy.random.SeedSequence` derived from the caller's
   ``rng`` spec is ``spawn``-ed into one child per shard plus one reserved
   child for the final shuffle;
-* each shard runs the ordinary
-  :meth:`~repro.core.scenario.DifferentialScenario.generate_dataset`
-  (unshuffled) on its own child stream;
+* each shard draws an unshuffled, class-major block on its own child
+  stream;
 * shard outputs are re-grouped by class and concatenated in shard order,
   then shuffled once with the reserved stream.
 
@@ -34,6 +35,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.cache import DatasetCache, dataset_cache_key
+from repro.core.oracle import Oracle
 from repro.errors import DistinguisherError
 from repro.obs import context as obs_context
 from repro.obs import events as obs_events
@@ -106,9 +108,9 @@ def shard_sizes(n: int, shard_size: int = DEFAULT_SHARD_SIZE) -> List[int]:
 
 
 def _run_shard(job) -> Tuple[np.ndarray, np.ndarray]:
-    scenario, shard_n, seed_seq = job
+    scenario, shard_n, seed_seq, oracle = job
     shard_rng = np.random.Generator(np.random.PCG64(seed_seq))
-    return scenario.generate_dataset(shard_n, rng=shard_rng, shuffle=False)
+    return scenario._generate_block(shard_n, shard_rng, oracle)
 
 
 def generate_dataset_sharded(
@@ -119,11 +121,19 @@ def generate_dataset_sharded(
     workers: int = 1,
     shard_size: int = DEFAULT_SHARD_SIZE,
     cache: Optional[DatasetCache] = None,
+    oracle: Optional[Oracle] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Shard-deterministic ``(features, labels)`` for ``scenario``.
 
     Bit-identical for every ``workers`` value given the same seed and
     ``shard_size``; see the module docstring for the construction.
+
+    ``oracle`` replaces the scenario's cipher oracle (the online phase
+    queries the oracle under test).  An oracle may carry state — a
+    memoised :class:`~repro.core.oracle.RandomOracle` answers by query
+    order — that neither crosses processes nor enters the cache key, so
+    with one the shards run in this process, in shard order, and the
+    cache is skipped.
 
     ``cache`` defaults to the directory named by the
     ``REPRO_DATASET_CACHE`` environment variable (no caching when
@@ -138,7 +148,9 @@ def generate_dataset_sharded(
         raise DistinguisherError(f"workers must be >= 1, got {workers}")
     sizes = shard_sizes(n_per_class, shard_size)
     root = seed_sequence_from(rng)
-    if cache is None:
+    if oracle is not None:
+        cache = None
+    elif cache is None:
         cache = DatasetCache.from_env()
     key = None
     if cache is not None:
@@ -150,11 +162,14 @@ def generate_dataset_sharded(
             )
             return cached
     children = root.spawn(len(sizes) + 1)
-    jobs = [(scenario, size, child) for size, child in zip(sizes, children)]
+    jobs = [
+        (scenario, size, child, oracle)
+        for size, child in zip(sizes, children)
+    ]
     with span("data.generate", shards=len(jobs), n_per_class=n_per_class,
               workers=workers):
         results = []
-        if workers == 1 or len(jobs) == 1:
+        if workers == 1 or len(jobs) == 1 or oracle is not None:
             for index, job in enumerate(jobs):
                 results.append(_run_shard(job))
                 _log.debug("data.shard", done=index + 1, total=len(jobs))
@@ -192,7 +207,7 @@ def generate_dataset_sharded(
 def run_grid(
     fn: Callable,
     payloads: Sequence,
-    workers: Optional[int] = None,
+    workers: int = 1,
     label: str = "grid",
     on_result: Optional[Callable] = None,
     duration_of: Optional[Callable] = None,
@@ -231,8 +246,6 @@ def run_grid(
     ``workers=1``.
     """
     payloads = list(payloads)
-    if workers is None:
-        workers = 1
     workers = int(workers)
     if workers < 1:
         raise DistinguisherError(f"workers must be >= 1, got {workers}")
@@ -327,10 +340,8 @@ def _next_with_stall_watch(
             )
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Clamp a requested worker count to the machine (``None`` -> 1)."""
-    if workers is None:
-        return 1
+def resolve_workers(workers: int = 1) -> int:
+    """Clamp a requested worker count to the machine."""
     workers = int(workers)
     if workers < 1:
         raise DistinguisherError(f"workers must be >= 1, got {workers}")

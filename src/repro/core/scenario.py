@@ -109,48 +109,43 @@ class DifferentialScenario(abc.ABC):
         """The CIPHER side of the game."""
         return CipherOracle(self.pipeline)
 
-    def random_oracle(self, rng=None, memoize: bool = True) -> RandomOracle:
+    def random_oracle(self, rng=None) -> RandomOracle:
         """The RANDOM side of the game, geometry-matched to this scenario."""
-        return RandomOracle(
-            self.output_words, self.word_width, rng=rng, memoize=memoize
-        )
+        return RandomOracle(self.output_words, self.word_width, rng=rng)
 
     def generate_dataset(
         self,
         n_per_class: int,
         rng=None,
         oracle: Optional[Oracle] = None,
-        shuffle: bool = True,
-        workers: Optional[int] = None,
+        workers: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Labelled output-difference samples (Algorithm 2's data step).
 
         For each of ``n_per_class`` base inputs ``P`` the oracle is
         queried on ``P`` and on every ``P ⊕ δ_i``; sample ``i`` is the
         bit vector of ``C ⊕ C_i`` labelled ``i``.  Returns
-        ``(features, labels)`` with ``features`` float32 of shape
-        ``(n_per_class * t, feature_bits)``.
+        ``(features, labels)`` shuffled, with ``features`` float32 of
+        shape ``(n_per_class * t, feature_bits)``.
 
-        ``workers=None`` (the default) keeps the historical single-stream
-        path.  Any integer ``workers >= 1`` switches to the sharded
-        generator of :mod:`repro.core.parallel`, whose output is
-        bit-identical for every worker count (including 1) but differs
-        from the ``workers=None`` stream.  Custom ``oracle`` objects may
-        carry state (e.g. a memoised :class:`RandomOracle`) that cannot
-        be shared across processes, so they always run on the
-        single-stream path.
+        The samples come from the sharded generator of
+        :mod:`repro.core.parallel`: they are a function of ``rng``
+        alone, and ``workers`` only decides how many processes compute
+        the shards.  A custom ``oracle`` (e.g. a memoised
+        :class:`RandomOracle`) is queried shard by shard in this
+        process, since its state cannot be shared across processes.
         """
-        if n_per_class <= 0:
-            raise DistinguisherError(
-                f"n_per_class must be positive, got {n_per_class}"
-            )
-        if workers is not None and oracle is None:
-            from repro.core.parallel import generate_dataset_sharded
+        from repro.core.parallel import generate_dataset_sharded
 
-            return generate_dataset_sharded(
-                self, n_per_class, rng=rng, shuffle=shuffle, workers=workers
-            )
-        generator = make_rng(rng)
+        return generate_dataset_sharded(
+            self, n_per_class, rng=rng, workers=workers, oracle=oracle
+        )
+
+    def _generate_block(
+        self, n_per_class: int, generator, oracle: Optional[Oracle] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One shard of :meth:`generate_dataset`: unshuffled, class-major
+        (``t`` blocks of ``n_per_class`` rows, labels ``0 .. t-1``)."""
         if oracle is None:
             oracle = self.cipher_oracle()
         inputs = self.sample_base_inputs(n_per_class, generator)
@@ -163,12 +158,7 @@ class DifferentialScenario(abc.ABC):
             diff = base_out ^ out_i
             features.append(state_to_bits(diff, self.word_width))
             labels.append(np.full(n_per_class, i, dtype=np.int64))
-        x = np.concatenate(features, axis=0)
-        y = np.concatenate(labels, axis=0)
-        if shuffle:
-            order = generator.permutation(x.shape[0])
-            x, y = x[order], y[order]
-        return x, y
+        return np.concatenate(features, axis=0), np.concatenate(labels, axis=0)
 
 
 class GimliHashScenario(DifferentialScenario):

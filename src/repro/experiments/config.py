@@ -9,9 +9,8 @@ the paper's sizes times ``REPRO_SCALE`` (``0.0 < scale <= 1.0``).
 Further environment knobs tune the engine without changing any
 experiment's semantics:
 
-* ``REPRO_WORKERS`` — dataset-generation worker count.  Unset keeps the
-  historical single-stream generator; any integer ``>= 1`` switches to
-  the sharded generator of :mod:`repro.core.parallel`, which is
+* ``REPRO_WORKERS`` — worker process count (unset: 1).  Datasets come
+  from the sharded generator of :mod:`repro.core.parallel`, which is
   bit-identical across worker counts.
 * ``REPRO_DTYPE`` — compute dtype for the neural networks (``float32``
   or ``float64``; unset keeps the float64 default).
@@ -61,9 +60,9 @@ def get_scale() -> float:
                       error=ExperimentError, above=0, maximum=1)
 
 
-def get_workers() -> Optional[int]:
-    """Read ``REPRO_WORKERS`` (unset -> ``None``: single-stream path)."""
-    return env_number("REPRO_WORKERS", None, error=ExperimentError, minimum=1)
+def get_workers() -> int:
+    """Read ``REPRO_WORKERS`` (unset -> 1)."""
+    return env_number("REPRO_WORKERS", 1, error=ExperimentError, minimum=1)
 
 
 def get_dtype() -> Optional[str]:

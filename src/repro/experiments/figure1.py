@@ -39,7 +39,6 @@ def run_figure1(queue_dir=None) -> Dict:
         _run_figure1_cell,
         [{}],
         specs=[{"experiment": "figure1"}],
-        workers=None,
         label="figure1",
         queue_dir=queue_dir,
     )

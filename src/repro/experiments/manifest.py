@@ -138,7 +138,9 @@ def _worker_manifest(kwargs: Dict) -> Dict:
     """Requested vs machine-resolved worker count for this run."""
     from repro.experiments.config import get_workers
 
-    requested = kwargs.get("workers", get_workers())
+    requested = kwargs.get("workers")
+    if requested is None:
+        requested = get_workers()
     return {
         "requested": requested,
         "resolved": resolve_workers(requested),

@@ -13,7 +13,7 @@ Two experiments:
 Both run their per-round cells as payload-complete grid jobs (seed
 material derived up front in serial order), so they parallelise across
 ``workers`` processes and resume through :mod:`repro.jobs` with rows
-identical to the historical serial loops.
+identical for every worker count.
 """
 
 from __future__ import annotations

@@ -81,7 +81,6 @@ def _table2_cell_body(payload: Dict, target: str, r: int) -> Dict:
         epochs=payload["epochs"],
         batch_size=256,
         rng=payload["cell_rng"],
-        workers=payload["data_workers"],
         dtype=payload["dtype"],
     )
     row = {
@@ -136,17 +135,13 @@ def run_table2(
     ``run_online`` — the online accuracies and verdicts against the
     cipher and a random oracle.
 
-    Cells of the (target, rounds) grid are independent models; with
-    ``workers`` set they train in that many worker processes.  All
-    seed material is derived up front, in the grid's serial iteration
-    order, so the rows are identical for every worker count (and, for
-    ``workers=None``, identical to the historical serial runner —
-    except after an aborted cell, whose online-oracle derivation the
-    old runner skipped; deriving it unconditionally is what makes the
-    stream independent of cell outcomes).
-    Cells inside pool workers generate their datasets with one sharded
-    worker (daemonic processes cannot fork grandchildren); sharded
-    generation is worker-count-invariant, so this doesn't change rows.
+    Cells of the (target, rounds) grid are independent models, trained
+    in ``workers`` processes.  All seed material is derived up front, in
+    the grid's serial iteration order and whatever any cell's outcome,
+    and every dataset comes from the worker-count-invariant sharded
+    generator, so the rows are identical for every worker count.
+    Cells generate their datasets with one worker (daemonic pool
+    processes cannot fork grandchildren).
 
     ``queue_dir`` makes the grid resumable: every cell becomes a
     persistent job (see :mod:`repro.jobs`), completed cells are skipped
@@ -176,9 +171,6 @@ def run_table2(
             rng,
         )
     generator = make_rng(rng)
-    # ``workers=None`` keeps the legacy single-stream dataset path;
-    # any integer switches every cell to the sharded generator.
-    data_workers = None if workers is None else 1
     payloads = []
     specs = []
     for target in targets:
@@ -210,7 +202,6 @@ def run_table2(
                     "run_online": run_online,
                     "cell_rng": cell_rng,
                     "ro_rng": ro_rng,
-                    "data_workers": data_workers,
                     "dtype": dtype,
                 }
             )

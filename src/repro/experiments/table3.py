@@ -83,12 +83,11 @@ def run_table3(
     ``workers``/``dtype`` default to ``REPRO_WORKERS``/``REPRO_DTYPE``.
 
     The shared dataset is generated once in the parent (sharded across
-    ``workers`` processes when set); each network then trains as an
-    independent grid cell, in ``workers`` processes via
+    ``workers`` processes); each network then trains as an independent
+    grid cell, in ``workers`` processes via
     :func:`~repro.core.parallel.run_grid`.  Per-network seed material
-    is derived up front in list order, so every worker count — and the
-    historical serial runner — produces identical rows (modulo the
-    wall-clock ``training_time_s``).
+    is derived up front in list order, so every worker count produces
+    identical rows (modulo the wall-clock ``training_time_s``).
 
     ``queue_dir`` makes the grid resumable through :mod:`repro.jobs`:
     the shared dataset is regenerated from the pinned seed on every

@@ -100,7 +100,7 @@ class JobRunner:
     def __init__(
         self,
         queue: JobQueue,
-        workers: Optional[int] = None,
+        workers: int = 1,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_s: float = DEFAULT_BACKOFF_S,
         max_jobs: Optional[int] = None,
@@ -264,7 +264,7 @@ def run_cells(
     fn: Callable,
     payloads: Sequence,
     specs: Optional[Sequence[Dict]] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     label: str = "grid",
     queue_dir=None,
 ) -> List:

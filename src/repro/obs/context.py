@@ -14,7 +14,8 @@ and both evaporate when the pool is torn down.  This module makes a
 * :class:`ContextTask` wraps the function dispatched to
   :mod:`multiprocessing` pool workers by
   :func:`repro.core.parallel.run_grid` and
-  :func:`~repro.core.parallel.generate_dataset_sharded`.  On the first
+  :func:`~repro.core.parallel.generate_dataset_sharded` (the generator
+  behind every ``generate_dataset`` call).  On the first
   task a worker executes for a given run it discards the span buffer
   and registry contents inherited over ``fork`` (they are the parent's,
   already flushed parent-side), re-enables tracing, and installs the

@@ -112,7 +112,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="search seed")
     parser.add_argument("--train-samples", type=int, default=None,
                         help=f"offline training samples")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (scores and results are "
                         "identical for any value)")
     parser.add_argument("--registry", default=None,

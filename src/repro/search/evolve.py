@@ -55,7 +55,7 @@ class SearchConfig:
     top_k: int = 4
     n_samples: int = DEFAULT_SAMPLES
     seed: int = 0
-    workers: Optional[int] = None
+    workers: int = 1
 
     def __post_init__(self):
         if self.population_size < 2:

@@ -60,7 +60,7 @@ score — are the same as one call per candidate.
 from __future__ import annotations
 
 import ctypes
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -303,7 +303,7 @@ class BiasScoringOracle:
         prototype,
         n_samples: int = DEFAULT_SAMPLES,
         rng=0,
-        workers: Optional[int] = None,
+        workers: int = 1,
         shard_size: int = DEFAULT_SHARD_SIZE,
     ):
         if n_samples <= 0:
@@ -352,12 +352,11 @@ class BiasScoringOracle:
             (self.prototype, shard_n, child, fresh)
             for shard_n, child in zip(self._sizes, self._children)
         ]
-        workers = 1 if self.workers is None else int(self.workers)
         with span(
             "search.score", candidates=fresh.shape[0], shards=len(jobs)
         ):
             shard_counts = run_grid(
-                _count_shard, jobs, workers=workers, label="search.score"
+                _count_shard, jobs, workers=self.workers, label="search.score"
             )
         totals = np.zeros(
             (fresh.shape[0], self.prototype.feature_bits), dtype=np.int64

@@ -61,7 +61,7 @@ TRAIN_BLAS_THREADS = 1
 
 
 def run_search(
-    spec: ScenarioSpec, workers: Optional[int] = None
+    spec: ScenarioSpec, workers: int = 1
 ) -> SearchResult:
     """The search stage alone: ranked differences for ``spec``."""
     if spec.search is None:
@@ -89,7 +89,7 @@ def run_search(
 def run_search_pipeline(
     spec: ScenarioSpec,
     registry=None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     verbose: bool = False,
 ) -> dict:
     """Run the full search → train → register chain for one spec.
@@ -230,7 +230,7 @@ def _run_sweep_job(payload: Dict) -> dict:
 def run_sweep(
     raws: Sequence[dict],
     registry_dir: Optional[str] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     queue_dir=None,
     verbose: bool = False,
 ) -> List[dict]:
@@ -253,18 +253,14 @@ def run_sweep(
             {"registry": registry_dir is not None},
             0,
         )
-    # Every cell samples with exactly one sharded worker: the sharded
-    # generator is worker-count-invariant but *differs* from the legacy
-    # single-stream path (workers=None), so pinning it makes sweep
-    # summaries identical whatever ``--workers`` each (re-)invocation
-    # used — the property the queue's bit-identical-resume contract
-    # rests on.  (Pool children could not fork grandchildren anyway.)
+    # Every cell samples with one worker: daemonic pool children
+    # cannot fork grandchildren.
     payloads = [
         {
             "raw": raw,
             "registry_dir": registry_dir,
             "cell_workers": 1,
-            "verbose": verbose and workers in (None, 1),
+            "verbose": verbose and workers == 1,
         }
         for raw in raws
     ]

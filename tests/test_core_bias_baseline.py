@@ -99,5 +99,5 @@ class TestAsDistinguisherBaseline:
             scenario.cipher_oracle(), 1000, rng=14
         ) == "CIPHER"
         assert distinguisher.distinguish(
-            scenario.random_oracle(rng=15, memoize=False), 1000, rng=16
+            scenario.random_oracle(rng=15), 1000, rng=16
         ) == "RANDOM"

@@ -148,6 +148,33 @@ class TestShardedGenerationCaching:
         generate_dataset_sharded(scenario, 100, rng=2, shard_size=64)
         assert not list(tmp_path.glob("*.npz"))
 
+    def test_default_generate_dataset_uses_cache(self, monkeypatch, tmp_path):
+        root = tmp_path / "env-cache"
+        monkeypatch.setenv(CACHE_ENV_VAR, str(root))
+        scenario = GimliHashScenario(rounds=5)
+        fresh = scenario.generate_dataset(500, rng=5)
+        assert len(list(root.glob("*.npz"))) == 1
+
+        def boom(job):
+            raise AssertionError("cache hit should not regenerate shards")
+
+        monkeypatch.setattr(parallel, "_run_shard", boom)
+        hit = scenario.generate_dataset(500, rng=5)
+        assert fresh[0].tobytes() == hit[0].tobytes()
+        assert fresh[1].tobytes() == hit[1].tobytes()
+
+    def test_oracle_calls_write_no_entry(self, monkeypatch, tmp_path):
+        root = tmp_path / "env-cache"
+        monkeypatch.setenv(CACHE_ENV_VAR, str(root))
+        scenario = GimliHashScenario(rounds=5)
+        scenario.generate_dataset(
+            500, rng=5, oracle=scenario.random_oracle(rng=6)
+        )
+        scenario.generate_dataset(
+            500, rng=5, oracle=scenario.cipher_oracle()
+        )
+        assert not list(root.glob("*.npz"))
+
     def test_seed_sequence_entropy_reaches_key(self, cache):
         # Same params, different seeds: two distinct cache entries.
         scenario = ToySpeckScenario()

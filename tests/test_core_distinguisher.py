@@ -80,7 +80,7 @@ class TestOnlinePhase:
     def test_random_verdict(self, trained):
         scenario, distinguisher, _ = trained
         result = distinguisher.test(
-            scenario.random_oracle(rng=8, memoize=False), 1000, rng=4
+            scenario.random_oracle(rng=8), 1000, rng=4
         )
         assert result.verdict == "RANDOM"
         assert abs(result.accuracy - 0.5) < 0.1
@@ -129,6 +129,6 @@ class TestMultiClass:
         result = distinguisher.test(scenario.cipher_oracle(), 2000, rng=13)
         assert result.verdict == "CIPHER"
         random_result = distinguisher.test(
-            scenario.random_oracle(rng=14, memoize=False), 2000, rng=15
+            scenario.random_oracle(rng=14), 2000, rng=15
         )
         assert random_result.verdict == "RANDOM"

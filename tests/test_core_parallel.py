@@ -82,11 +82,16 @@ class TestShardedGeneration:
         assert np.array_equal(direct[0], via_method[0])
         assert np.array_equal(direct[1], via_method[1])
 
-    def test_workers_none_keeps_legacy_stream(self):
+    def test_default_matches_every_worker_count(self):
+        # Two shards at the default shard size, so workers=2 uses a pool.
         scenario = ToySpeckScenario(rounds=3)
-        legacy_a = scenario.generate_dataset(500, rng=5)
-        legacy_b = scenario.generate_dataset(500, rng=5)
-        assert np.array_equal(legacy_a[0], legacy_b[0])
+        x, y = scenario.generate_dataset(DEFAULT_SHARD_SIZE + 500, rng=5)
+        for workers in (1, 2):
+            xw, yw = scenario.generate_dataset(
+                DEFAULT_SHARD_SIZE + 500, rng=5, workers=workers
+            )
+            assert xw.tobytes() == x.tobytes()
+            assert yw.tobytes() == y.tobytes()
 
     def test_unshuffled_is_class_major(self):
         scenario = GimliCipherScenario(total_rounds=4)
@@ -111,15 +116,21 @@ class TestShardedGeneration:
         for i in range(scenario.num_classes):
             assert (y == i).sum() == 4200
 
-    def test_stateful_oracle_falls_back_to_legacy_path(self):
+    def test_stateful_oracle_shards_run_in_process(self):
         scenario = ToySpeckScenario(rounds=3)
         oracle = scenario.random_oracle(rng=0)
-        with_workers = scenario.generate_dataset(
-            300, rng=8, oracle=oracle, workers=4
+        with_workers = generate_dataset_sharded(
+            scenario, 300, rng=8, oracle=oracle, workers=4, shard_size=64
         )
+        # The caller's own oracle answered every query, so no shard ran
+        # on a copy in another process.
+        assert len(oracle._memo) >= 300
         oracle_again = scenario.random_oracle(rng=0)
-        without = scenario.generate_dataset(300, rng=8, oracle=oracle_again)
-        assert np.array_equal(with_workers[0], without[0])
+        serial = generate_dataset_sharded(
+            scenario, 300, rng=8, oracle=oracle_again, shard_size=64
+        )
+        assert np.array_equal(with_workers[0], serial[0])
+        assert len(oracle_again._memo) == len(oracle._memo)
 
     def test_rejects_bad_workers(self):
         scenario = ToySpeckScenario(rounds=3)
@@ -129,7 +140,8 @@ class TestShardedGeneration:
 
 class TestResolveWorkers:
     def test_none_is_one(self):
-        assert resolve_workers(None) == 1
+        # No worker count given.
+        assert resolve_workers() == 1
 
     def test_clamped_to_cpu_count(self):
         assert resolve_workers(10_000) >= 1

@@ -145,7 +145,7 @@ class TestToySpeckScenario:
 class TestRandomOracleDataset:
     def test_random_oracle_removes_signal(self, rng):
         scenario = GimliHashScenario(rounds=2)
-        oracle = scenario.random_oracle(rng=7, memoize=False)
+        oracle = scenario.random_oracle(rng=7)
         x, y = scenario.generate_dataset(200, rng=rng, oracle=oracle)
         mean0 = x[y == 0].mean(axis=0)
         mean1 = x[y == 1].mean(axis=0)

@@ -103,7 +103,7 @@ class TestFloat32Parity:
             assert report.validation_accuracy > report.baseline
             cipher = distinguisher.test(scenario.cipher_oracle(), 1000, rng=3)
             random = distinguisher.test(
-                scenario.random_oracle(rng=8, memoize=False), 1000, rng=4
+                scenario.random_oracle(rng=8), 1000, rng=4
             )
             assert distinguisher.model.dtype == np.dtype(dtype)
             results[dtype] = (cipher.verdict, random.verdict)

@@ -48,7 +48,8 @@ class TestRunGrid:
             run_grid(_double, [1], workers=0)
 
     def test_none_means_serial(self):
-        assert run_grid(lambda p: p + 1, [1, 2], workers=None) == [2, 3]
+        # No worker count given: in-process (a lambda cannot pickle).
+        assert run_grid(lambda p: p + 1, [1, 2]) == [2, 3]
 
 
 def _double(payload):
@@ -73,7 +74,9 @@ class TestTable1Invariance:
 
 
 class TestTable2Invariance:
-    def test_workers_do_not_change_rows(self):
+    def test_workers_do_not_change_rows(self, monkeypatch):
+        # workers=None reads REPRO_WORKERS, here unset.
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         kwargs = dict(
             rounds=(3,),
             targets=("hash", "cipher"),
@@ -83,8 +86,8 @@ class TestTable2Invariance:
             rng=13,
         )
         serial = run_table2(workers=1, **kwargs)
-        pooled = run_table2(workers=2, **kwargs)
-        assert serial == pooled
+        for workers in (2, None):
+            assert run_table2(workers=workers, **kwargs) == serial
         assert [row["target"] for row in serial["rows"]] == ["hash", "cipher"]
 
     def test_env_workers_match_explicit(self, monkeypatch):
@@ -103,7 +106,9 @@ class TestTable2Invariance:
 
 
 class TestTable3Invariance:
-    def test_workers_do_not_change_rows(self):
+    def test_workers_do_not_change_rows(self, monkeypatch):
+        # workers=None reads REPRO_WORKERS, here unset.
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         kwargs = dict(
             networks=("MLP II", "MLP IV"),
             total_rounds=3,
@@ -112,27 +117,33 @@ class TestTable3Invariance:
             rng=17,
         )
         serial = _strip_timing(run_table3(workers=1, **kwargs))
-        pooled = _strip_timing(run_table3(workers=2, **kwargs))
-        assert serial == pooled
+        for workers in (2, None):
+            rows = _strip_timing(run_table3(workers=workers, **kwargs))
+            assert rows == serial
         assert [row["network"] for row in serial["rows"]] == ["MLP II", "MLP IV"]
 
     def test_second_run_hits_dataset_cache(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_DATASET_CACHE", str(tmp_path))
-        kwargs = dict(
-            networks=("MLP IV",),
-            total_rounds=3,
-            num_samples=800,
-            epochs=1,
-            rng=19,
-            workers=1,
-        )
-        first = _strip_timing(run_table3(**kwargs))
-        entries = list(tmp_path.glob("*.npz"))
-        assert len(entries) == 1
-        before = entries[0].stat().st_mtime_ns
-        second = _strip_timing(run_table3(**kwargs))
-        assert first == second
-        # Same single entry, untouched: the dataset was read, not rebuilt.
-        entries_after = list(tmp_path.glob("*.npz"))
-        assert len(entries_after) == 1
-        assert entries_after[0].stat().st_mtime_ns == before
+        # workers=None reads REPRO_WORKERS, here unset.
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        for workers in (1, None):
+            cache_dir = tmp_path / str(workers)
+            monkeypatch.setenv("REPRO_DATASET_CACHE", str(cache_dir))
+            kwargs = dict(
+                networks=("MLP IV",),
+                total_rounds=3,
+                num_samples=800,
+                epochs=1,
+                rng=19,
+                workers=workers,
+            )
+            first = _strip_timing(run_table3(**kwargs))
+            entries = list(cache_dir.glob("*.npz"))
+            assert len(entries) == 1, workers
+            before = entries[0].stat().st_mtime_ns
+            second = _strip_timing(run_table3(**kwargs))
+            assert first == second
+            # Same single entry, untouched: the dataset was read, not
+            # rebuilt.
+            entries_after = list(cache_dir.glob("*.npz"))
+            assert len(entries_after) == 1
+            assert entries_after[0].stat().st_mtime_ns == before

@@ -44,7 +44,7 @@ class TestFullAlgorithm2:
             scenario.cipher_oracle(), n_online, rng=18
         ) == "CIPHER"
         assert distinguisher.distinguish(
-            scenario.random_oracle(rng=19, memoize=False), n_online, rng=20
+            scenario.random_oracle(rng=19), n_online, rng=20
         ) == "RANDOM"
 
 

@@ -152,7 +152,7 @@ class TestRunCells:
 
     def test_plain_path_without_queue(self):
         payloads = [{"value": i} for i in range(3)]
-        rows = run_cells(_double, payloads, specs=None, workers=None)
+        rows = run_cells(_double, payloads, specs=None)
         assert rows == [{"value": 0}, {"value": 2}, {"value": 4}]
 
     def test_queued_run_and_replay(self, tmp_path):

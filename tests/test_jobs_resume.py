@@ -38,6 +38,30 @@ class TestTable2Resume:
         # the completed cell was replayed, not recomputed
         assert all(r["attempts"] == 1 for r in JobQueue(tmp_path).jobs())
 
+    def test_resume_with_other_worker_count_is_bit_identical(
+        self, tmp_path, monkeypatch
+    ):
+        # 6-7 rounds keep accuracies below 1, so a cell drawn from a
+        # different dataset stream changes its row.
+        kwargs = dict(
+            rounds=(6, 7),
+            targets=("hash",),
+            offline_samples=6000,
+            online_samples=600,
+            epochs=1,
+            dtype="float32",
+        )
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        uninterrupted = run_table2(rng=11, workers=1, **kwargs)
+        assert all(row["measured"] < 1 for row in uninterrupted["rows"])
+
+        monkeypatch.setenv("REPRO_JOBS_MAX_CELLS", "1")
+        with pytest.raises(JobError, match="1 not processed"):
+            run_table2(rng=11, queue_dir=tmp_path, workers=None, **kwargs)
+        monkeypatch.delenv("REPRO_JOBS_MAX_CELLS")
+        resumed = run_table2(rng=11, queue_dir=tmp_path, workers=1, **kwargs)
+        assert resumed["rows"] == uninterrupted["rows"]
+
     def test_resume_without_seed_replays_pinned_seed(self, tmp_path):
         first = run_table2(rng=13, queue_dir=tmp_path, **TINY)
         replayed = run_table2(rng=None, queue_dir=tmp_path, **TINY)

@@ -100,5 +100,5 @@ class TestAsDistinguisherModel:
             scenario.cipher_oracle(), 1000, rng=10
         ) == "CIPHER"
         assert distinguisher.distinguish(
-            scenario.random_oracle(rng=11, memoize=False), 1000, rng=12
+            scenario.random_oracle(rng=11), 1000, rng=12
         ) == "RANDOM"

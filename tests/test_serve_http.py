@@ -277,7 +277,7 @@ class TestEndToEndGame:
             random_state = client.run_online_phase(
                 "gimli-hash-r5",
                 scenario,
-                scenario.random_oracle(rng=19, memoize=False),
+                scenario.random_oracle(rng=19),
                 n_online,
                 rng=20,
             )
@@ -334,7 +334,7 @@ class TestEndToEndGame:
                 random_state = client.run_online_phase(
                     name,
                     scenario,
-                    scenario.random_oracle(rng=19, memoize=False),
+                    scenario.random_oracle(rng=19),
                     n_online,
                     rng=20,
                 )

@@ -25,7 +25,7 @@ KNOBS = [
     ("REPRO_JOBS_MAX_CELLS", lambda: JobRunner(None).max_jobs, None,
      JobError, "1", ["0"]),
     ("REPRO_SCALE", get_scale, 0.05, ExperimentError, "1", ["0", "1.001"]),
-    ("REPRO_WORKERS", get_workers, None, ExperimentError, "1", ["0"]),
+    ("REPRO_WORKERS", get_workers, 1, ExperimentError, "1", ["0"]),
     ("REPRO_BLAS_THREADS_TRAIN", lambda: domain_threads("train"), None,
      TrainingError, "1", ["0"]),
     ("REPRO_BLAS_THREADS_SERVE", lambda: domain_threads("serve"), None,
