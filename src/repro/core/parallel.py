@@ -12,10 +12,15 @@ thin wrapper over it, so every dataset a scenario builds is sharded:
 * a root :class:`numpy.random.SeedSequence` derived from the caller's
   ``rng`` spec is ``spawn``-ed into one child per shard plus one reserved
   child for the final shuffle;
-* each shard draws an unshuffled, class-major block on its own child
+* each shard draws an unshuffled, class-major block of output-difference
+  *words* on its own child stream (16 bytes per 128-bit sample, which is
+  all a pool worker sends back);
+* the words are regrouped by class in shard order, the labels follow
+  from the shard plan, and both are shuffled once with the reserved
   stream;
-* shard outputs are re-grouped by class and concatenated in shard order,
-  then shuffled once with the reserved stream.
+* the float32 features are expanded once, chunk by chunk, into one
+  preallocated array.  Bit expansion is row-wise, so expanding the
+  shuffled words gives exactly the rows of shuffling expanded ones.
 
 Because the shard plan and every stream are functions of the seed alone,
 ``workers=1`` and ``workers=N`` produce bit-identical ``(x, y)`` arrays;
@@ -34,6 +39,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import scenario as scenario_module
 from repro.core.cache import DatasetCache, dataset_cache_key
 from repro.core.oracle import Oracle
 from repro.errors import DistinguisherError
@@ -77,6 +83,10 @@ def _context_task(fn: Callable) -> Callable:
 #: changing it changes the generated dataset.
 DEFAULT_SHARD_SIZE = 4096
 
+#: Rows per ``state_to_bits`` call when the features are expanded.  It
+#: bounds the expansion's temporaries; the rows do not depend on it.
+EXPAND_CHUNK_ROWS = 4096
+
 
 def seed_sequence_from(rng: RngLike) -> np.random.SeedSequence:
     """A :class:`~numpy.random.SeedSequence` for any accepted seed form.
@@ -107,7 +117,7 @@ def shard_sizes(n: int, shard_size: int = DEFAULT_SHARD_SIZE) -> List[int]:
     return sizes
 
 
-def _run_shard(job) -> Tuple[np.ndarray, np.ndarray]:
+def _run_shard(job) -> np.ndarray:
     scenario, shard_n, seed_seq, oracle = job
     shard_rng = np.random.Generator(np.random.PCG64(seed_seq))
     return scenario._generate_block(shard_n, shard_rng, oracle)
@@ -168,10 +178,10 @@ def generate_dataset_sharded(
     ]
     with span("data.generate", shards=len(jobs), n_per_class=n_per_class,
               workers=workers):
-        results = []
+        blocks = []
         if workers == 1 or len(jobs) == 1 or oracle is not None:
             for index, job in enumerate(jobs):
-                results.append(_run_shard(job))
+                blocks.append(_run_shard(job))
                 _log.debug("data.shard", done=index + 1, total=len(jobs))
         else:
             # ``imap`` (order-preserving, like ``map``) so each shard's
@@ -180,25 +190,25 @@ def generate_dataset_sharded(
                 processes=min(workers, len(jobs))
             ) as pool:
                 shard_fn = _context_task(_run_shard)
-                for index, result in enumerate(pool.imap(shard_fn, jobs)):
-                    results.append(result)
+                for index, block in enumerate(pool.imap(shard_fn, jobs)):
+                    blocks.append(block)
                     _log.debug("data.shard", done=index + 1, total=len(jobs))
-    # Each unshuffled shard is grouped by class (t blocks of shard_n
-    # rows); regroup so the full dataset has the same class-major layout
-    # regardless of how the shards were scheduled.
-    features: List[np.ndarray] = []
-    labels: List[np.ndarray] = []
-    for class_index in range(scenario.num_classes):
-        for (x, y), shard_n in zip(results, sizes):
-            rows = slice(class_index * shard_n, (class_index + 1) * shard_n)
-            features.append(x[rows])
-            labels.append(y[rows])
-    x = np.concatenate(features, axis=0)
-    y = np.concatenate(labels, axis=0)
+    # Each shard block is class-major (t runs of shard_n rows); regroup
+    # so the dataset has one class-major layout whatever the schedule.
+    words = np.concatenate([
+        block[c * shard_n:(c + 1) * shard_n]
+        for c in range(scenario.num_classes)
+        for block, shard_n in zip(blocks, sizes)
+    ])
+    y = np.repeat(np.arange(scenario.num_classes, dtype=np.int64), n_per_class)
     if shuffle:
         shuffler = np.random.Generator(np.random.PCG64(children[-1]))
-        order = shuffler.permutation(x.shape[0])
-        x, y = x[order], y[order]
+        order = shuffler.permutation(y.shape[0])
+        words, y = words[order], y[order]
+    x = np.empty((y.shape[0], scenario.feature_bits), dtype=np.float32)
+    for start in range(0, y.shape[0], EXPAND_CHUNK_ROWS):
+        rows = slice(start, start + EXPAND_CHUNK_ROWS)
+        x[rows] = scenario_module.state_to_bits(words[rows], scenario.word_width)
     if cache is not None and key is not None:
         cache.store(key, x, y)
     return x, y

@@ -143,22 +143,24 @@ class DifferentialScenario(abc.ABC):
 
     def _generate_block(
         self, n_per_class: int, generator, oracle: Optional[Oracle] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One shard of :meth:`generate_dataset`: unshuffled, class-major
-        (``t`` blocks of ``n_per_class`` rows, labels ``0 .. t-1``)."""
+    ) -> np.ndarray:
+        """One shard of :meth:`generate_dataset`, as output-difference words.
+
+        Row ``i * n_per_class + j`` is ``C ⊕ C_i`` for base input ``j``:
+        unshuffled and class-major (``t`` runs of ``n_per_class`` rows,
+        class ``i`` in run ``i``), shape ``(t * n_per_class,
+        output_words)``.  The sharded generator labels, shuffles and
+        expands them to float32 bits.
+        """
         if oracle is None:
             oracle = self.cipher_oracle()
         inputs = self.sample_base_inputs(n_per_class, generator)
         context = self.sample_context(n_per_class, generator)
         base_out = oracle.query(inputs, context)
-        features = []
-        labels = []
-        for i in range(self.num_classes):
-            out_i = oracle.query(self.apply_difference(inputs, i), context)
-            diff = base_out ^ out_i
-            features.append(state_to_bits(diff, self.word_width))
-            labels.append(np.full(n_per_class, i, dtype=np.int64))
-        return np.concatenate(features, axis=0), np.concatenate(labels, axis=0)
+        return np.concatenate([
+            base_out ^ oracle.query(self.apply_difference(inputs, i), context)
+            for i in range(self.num_classes)
+        ])
 
 
 class GimliHashScenario(DifferentialScenario):
@@ -410,11 +412,11 @@ class SpeckRealOrRandomScenario:
         c0[n:] = generator.integers(0, 1 << 16, size=(n, 2), dtype=np.uint16)
         c1[n:] = generator.integers(0, 1 << 16, size=(n, 2), dtype=np.uint16)
         pairs = np.concatenate([c0, c1], axis=1)  # (2n, 4) uint16
-        features = state_to_bits(pairs, 16)
         labels = np.concatenate(
             [np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)]
         )
         if shuffle:
+            # Shuffle the 8-byte pairs, not their 256-byte float rows.
             order = generator.permutation(2 * n)
-            features, labels = features[order], labels[order]
-        return features, labels
+            pairs, labels = pairs[order], labels[order]
+        return state_to_bits(pairs, 16), labels

@@ -5,6 +5,9 @@ dataset is a pure function of the seed — the worker count only changes
 scheduling, never a single bit of the output.
 """
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +139,71 @@ class TestShardedGeneration:
         scenario = ToySpeckScenario(rounds=3)
         with pytest.raises(DistinguisherError):
             generate_dataset_sharded(scenario, 100, rng=0, workers=0)
+
+
+def _sha256(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+#: SHA-256 of ``x.tobytes()`` for ``3 * 512 + 100`` base inputs per class
+#: at ``shard_size=512`` and ``rng=2024``, recorded when the shards still
+#: returned float32 bit rows.  Every case shares the label digest below.
+DATASET_DIGESTS = {
+    "gimli-hash-r6": (
+        lambda: GimliHashScenario(rounds=6),
+        "e6a0e1eeb5081690658978f676a983e03dfad4de6278e8c8be31288991b2a668",
+    ),
+    "gimli-cipher-r7": (
+        lambda: GimliCipherScenario(total_rounds=7),
+        "357f2f9abc265c42ac7b7059bde90417760180777ab51154c39da3e1fe582fe2",
+    ),
+    "toyspeck-r3": (
+        lambda: ToySpeckScenario(rounds=3),
+        "689eb6b2089acbb654f03c1e4d9693e079df7efaa178c4f35c1befc61740e1a7",
+    ),
+}
+LABEL_DIGEST = "e9751a65084fc40dd7d936e0dad36bffd653a1b85dab8ec25dd8f6d4a4007164"
+
+
+class TestPinnedBytes:
+    """Digests recorded at an earlier commit, so a change to any stream,
+    the regrouping or the shuffle fails here even when it moves every
+    worker count alike."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(DATASET_DIGESTS))
+    def test_dataset_bytes(self, case, workers):
+        make, x_digest = DATASET_DIGESTS[case]
+        x, y = generate_dataset_sharded(
+            make(), 3 * 512 + 100, rng=2024, workers=workers, shard_size=512
+        )
+        assert (_sha256(x), _sha256(y)) == (x_digest, LABEL_DIGEST)
+
+    def test_memoised_random_oracle_bytes(self):
+        scenario = ToySpeckScenario(rounds=3)
+        x, y = generate_dataset_sharded(
+            scenario, 3 * 512 + 100, rng=2024,
+            oracle=scenario.random_oracle(rng=4), shard_size=512,
+        )
+        assert _sha256(x) == (
+            "83e45bf4f65b33d84ee27958e2c87ee4505ac3970f394cc5ceddb19f936bd668"
+        )
+        assert _sha256(y) == LABEL_DIGEST
+
+
+class TestMemory:
+    def test_peak_is_one_dataset(self):
+        # The features are expanded once, into the returned array, so
+        # the traced peak stays near the result's own size.
+        scenario = GimliHashScenario(rounds=6)
+        scenario.generate_dataset(100, rng=0)  # warm caches and kernels
+        tracemalloc.start()
+        try:
+            x, y = scenario.generate_dataset(3 * DEFAULT_SHARD_SIZE + 100, rng=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * (x.nbytes + y.nbytes)
 
 
 class TestResolveWorkers:

@@ -1,5 +1,7 @@
 """Tests for the distinguisher scenarios."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,23 @@ class TestSpeckRealOrRandom:
         random_patterns = {tuple(row) for row in diffs[y == 0]}
         assert len(real_patterns) == 1
         assert len(random_patterns) > 10
+
+    @pytest.mark.parametrize("shuffle, x_digest, y_digest", [
+        (True,
+         "bdd7f588a22c11b5b00553a222371ad09a7e4406886ffc02c04e5b6a60e90c95",
+         "73f205b210cef8b69e02d956d0986cbfd9ac975342ebeeca8250ebbdf17a8616"),
+        (False,
+         "f32b1d5b948500083f65e682f6ac75d9dbf6aa889cf1eb5ab281472678ffd72c",
+         "d5bf0c1e70a7a3319c4e0233e075186348a76e380df3d5822ae105d92f1a0e1c"),
+    ])
+    def test_dataset_bytes_pinned(self, shuffle, x_digest, y_digest):
+        # Recorded when the float rows were shuffled after expansion;
+        # shuffling the word pairs first must give the same bytes.
+        x, y = SpeckRealOrRandomScenario(rounds=5).generate_dataset(
+            1000, rng=31, shuffle=shuffle
+        )
+        assert hashlib.sha256(x.tobytes()).hexdigest() == x_digest
+        assert hashlib.sha256(y.tobytes()).hexdigest() == y_digest
 
     def test_invalid_delta(self):
         with pytest.raises(DistinguisherError):

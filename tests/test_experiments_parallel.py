@@ -77,8 +77,11 @@ class TestTable2Invariance:
     def test_workers_do_not_change_rows(self, monkeypatch):
         # workers=None reads REPRO_WORKERS, here unset.
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+        # At 5 rounds the accuracies are below 1, so a change to the
+        # dataset stream moves the pinned values below.
         kwargs = dict(
-            rounds=(3,),
+            rounds=(5,),
             targets=("hash", "cipher"),
             offline_samples=1200,
             online_samples=300,
@@ -89,6 +92,10 @@ class TestTable2Invariance:
         for workers in (2, None):
             assert run_table2(workers=workers, **kwargs) == serial
         assert [row["target"] for row in serial["rows"]] == ["hash", "cipher"]
+        assert [
+            (row["measured"], row["cipher_accuracy"], row["random_accuracy"])
+            for row in serial["rows"]
+        ] == [(280 / 300, 274 / 300, 154 / 300), (280 / 300, 283 / 300, 157 / 300)]
 
     def test_env_workers_match_explicit(self, monkeypatch):
         kwargs = dict(
@@ -109,9 +116,12 @@ class TestTable3Invariance:
     def test_workers_do_not_change_rows(self, monkeypatch):
         # workers=None reads REPRO_WORKERS, here unset.
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+        # At 5 rounds the accuracies are below 1, so a change to the
+        # dataset stream moves the pinned values below.
         kwargs = dict(
             networks=("MLP II", "MLP IV"),
-            total_rounds=3,
+            total_rounds=5,
             num_samples=1000,
             epochs=1,
             rng=17,
@@ -121,6 +131,7 @@ class TestTable3Invariance:
             rows = _strip_timing(run_table3(workers=workers, **kwargs))
             assert rows == serial
         assert [row["network"] for row in serial["rows"]] == ["MLP II", "MLP IV"]
+        assert [row["measured"] for row in serial["rows"]] == [0.86, 0.91]
 
     def test_second_run_hits_dataset_cache(self, monkeypatch, tmp_path):
         # workers=None reads REPRO_WORKERS, here unset.
