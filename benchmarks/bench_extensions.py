@@ -2,20 +2,13 @@
 
 * GIFT-64 (the named Markov target): distinguisher accuracy sweep over
   rounds;
-* Salsa and Trivium (the §2.1 non-Markov examples): accuracy at the
-  round reductions where the method bites, and the abort beyond them;
 * Gift16 against its exact all-in-one Bayes ceiling.
 """
 
 from conftest import run_once
 
 from repro.core.distinguisher import MLDistinguisher
-from repro.core.extra_scenarios import (
-    Gift16Scenario,
-    Gift64Scenario,
-    SalsaScenario,
-    TriviumScenario,
-)
+from repro.core.extra_scenarios import Gift16Scenario, Gift64Scenario
 from repro.diffcrypt.allinone import gift16_allinone
 from repro.errors import DistinguisherAborted
 from repro.experiments.report import format_table
@@ -53,34 +46,6 @@ def test_gift64_round_sweep(benchmark):
     # Decay with rounds (later rounds may abort at this sample budget).
     if by_round[4] is not None:
         assert by_round[4] <= by_round[3] + 0.02
-
-
-def test_nonmarkov_targets(benchmark):
-    def run():
-        salsa = _accuracy(SalsaScenario(rounds=1), seed=4)
-        salsa_deep = _accuracy(SalsaScenario(rounds=2), seed=4)
-        trivium_rows = [
-            (warmup, _accuracy(TriviumScenario(warmup=warmup), seed=3))
-            for warmup in (240, 384, 480)
-        ]
-        return salsa, salsa_deep, trivium_rows
-
-    salsa, salsa_deep, trivium_rows = run_once(benchmark, run)
-    print()
-    rows = [["salsa 1 double-round", salsa],
-            ["salsa 2 double-rounds", "ABORT" if salsa_deep is None else salsa_deep]]
-    rows += [
-        [f"trivium warmup {w}", "ABORT" if a is None else a]
-        for w, a in trivium_rows
-    ]
-    print(format_table(["target", "accuracy"], rows,
-                       title="non-Markov extension targets (§2.1 examples)"))
-    assert salsa is not None and salsa > 0.95
-    by_warmup = dict(trivium_rows)
-    assert by_warmup[240] is not None and by_warmup[240] > 0.95
-    # Signal decays with warm-up clocks.
-    if by_warmup[384] is not None:
-        assert by_warmup[384] < by_warmup[240] + 1e-9
 
 
 def test_gift16_vs_exact_ceiling(benchmark):

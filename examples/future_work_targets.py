@@ -2,11 +2,9 @@
 
 The conclusion proposes experimenting with "other non-Markov ciphers
 and Markov ciphers like GIFT", and replacing the neural network with an
-SVM.  This example does all three:
+SVM.  This example runs the GIFT and SVM parts:
 
 * round-reduced **GIFT-64** distinguishers (fresh keys per sample);
-* the §2.1 non-Markov examples, **Salsa** (reduced double rounds) and
-  **Trivium** (reduced warm-up clocks, IV differences);
 * the Gimli-Hash distinguisher retrained with a **linear SVM** instead
   of the MLP.
 
@@ -18,11 +16,7 @@ Usage::
 import time
 
 from repro.core.distinguisher import MLDistinguisher
-from repro.core.extra_scenarios import (
-    Gift64Scenario,
-    SalsaScenario,
-    TriviumScenario,
-)
+from repro.core.extra_scenarios import Gift64Scenario
 from repro.core.scenario import GimliHashScenario
 from repro.errors import DistinguisherAborted
 from repro.nn.architectures import build_mlp
@@ -48,14 +42,6 @@ def main() -> None:
     print("== GIFT-64 (Markov, paper's named future-work cipher) ==")
     for rounds in (2, 3, 4, 5):
         train(f"GIFT-64, {rounds} rounds", Gift64Scenario(rounds=rounds))
-
-    print("\n== Salsa double rounds (non-Markov, §2.1) ==")
-    for rounds in (1, 2):
-        train(f"Salsa, {rounds} double round(s)", SalsaScenario(rounds=rounds))
-
-    print("\n== Trivium warm-up reduction (non-Markov, §2.1) ==")
-    for warmup in (240, 384, 480):
-        train(f"Trivium, warmup {warmup}", TriviumScenario(warmup=warmup))
 
     print("\n== SVM instead of the neural network (§6) ==")
     scenario = GimliHashScenario(rounds=6)

@@ -4,8 +4,8 @@ A production-quality reproduction of Baksi, Breier, Dong & Yi,
 *"Machine Learning Assisted Differential Distinguishers For Lightweight
 Ciphers"* (DATE 2021 / ePrint 2020/571), built entirely on numpy:
 
-* :mod:`repro.ciphers` — Gimli (+Hash/+Cipher), SPECK-32/64, GIFT-64,
-  Salsa, Trivium and the exact-analysis toy ciphers;
+* :mod:`repro.ciphers` — Gimli (+Hash/+Cipher), SPECK-32/64, GIFT-64
+  and the exact-analysis toy ciphers;
 * :mod:`repro.diffcrypt` — DDT/LAT, Markov-cipher analysis, exact Gimli
   SP-box differential probabilities, trail search, all-in-one baselines;
 * :mod:`repro.nn` — a from-scratch neural-network library (Dense, Conv1D,

@@ -20,14 +20,11 @@ from repro.ciphers.gimli import (
 from repro.ciphers.gimli_cipher import GimliAead, gimli_aead_encrypt
 from repro.ciphers.gimli_hash import GimliHash, gimli_hash
 from repro.ciphers.gift import GiftSbox, Gift64
-from repro.ciphers.salsa import SalsaPermutation
 from repro.ciphers.speck import Speck3264
 from repro.ciphers.toygift import ToyGift
 from repro.ciphers.toyspeck import ToySpeck
-from repro.ciphers.trivium import Trivium
 
 register_cipher("gimli", GimliPermutation)
-register_cipher("salsa", SalsaPermutation)
 register_cipher("speck32-64", Speck3264)
 register_cipher("toyspeck", ToySpeck)
 register_cipher("gift64", Gift64)
@@ -41,11 +38,9 @@ __all__ = [
     "GimliHash",
     "GimliPermutation",
     "Permutation",
-    "SalsaPermutation",
     "Speck3264",
     "ToyGift",
     "ToySpeck",
-    "Trivium",
     "get_cipher",
     "gimli_aead_encrypt",
     "gimli_hash",

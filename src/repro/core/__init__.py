@@ -17,19 +17,11 @@ from repro.core.distinguisher import (
     OnlineResult,
     TrainingReport,
 )
-from repro.core.key_recovery import RecoveryResult, SpeckKeyRecovery
 from repro.core.extra_scenarios import (
     Gift16Scenario,
     Gift64Scenario,
-    SalsaScenario,
-    TriviumScenario,
 )
 from repro.core.oracle import CipherOracle, Oracle, RandomOracle
-from repro.core.related_key import (
-    RelatedKeyScenario,
-    SpeckRelatedKeyScenario,
-    ToySpeckRelatedKeyScenario,
-)
 from repro.core.scenario import (
     DifferentialScenario,
     GimliCipherScenario,
@@ -52,8 +44,6 @@ __all__ = [
     "DistinguisherComplexity",
     "Gift16Scenario",
     "Gift64Scenario",
-    "SalsaScenario",
-    "TriviumScenario",
     "GimliCipherScenario",
     "GimliHashScenario",
     "GimliPermutationScenario",
@@ -61,11 +51,6 @@ __all__ = [
     "OnlineResult",
     "Oracle",
     "RandomOracle",
-    "RecoveryResult",
-    "RelatedKeyScenario",
-    "SpeckRelatedKeyScenario",
-    "ToySpeckRelatedKeyScenario",
-    "SpeckKeyRecovery",
     "SpeckRealOrRandomScenario",
     "ToySpeckScenario",
     "TrainingReport",

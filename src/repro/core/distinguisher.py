@@ -68,6 +68,32 @@ class OnlineResult:
     p_value: float
     is_cipher: bool
 
+    @classmethod
+    def from_counts(
+        cls,
+        correct: int,
+        n: int,
+        num_classes: int,
+        training_accuracy: float,
+        threshold: float,
+    ) -> "OnlineResult":
+        """Decide from ``correct`` right predictions out of ``n`` queries.
+
+        The one verdict rule of the online phase: CIPHER when the online
+        accuracy ``a'`` clears ``threshold``; the p-value tests ``a'``
+        against the random baseline ``1/t``.
+        """
+        accuracy = correct / n
+        return cls(
+            accuracy=accuracy,
+            num_samples=n,
+            num_classes=num_classes,
+            training_accuracy=training_accuracy,
+            threshold=threshold,
+            p_value=binomial_pvalue(correct, n, 1.0 / num_classes),
+            is_cipher=accuracy > threshold,
+        )
+
     @property
     def verdict(self) -> str:
         """``"CIPHER"`` or ``"RANDOM"``."""
@@ -200,20 +226,13 @@ class MLDistinguisher:
             n_per_class, rng=data_rng, oracle=oracle
         )
         predictions = self.model.predict_classes(x)
-        accuracy = float((predictions == y).mean())
         reference = self.report.validation_accuracy
-        threshold = decision_threshold(reference, t)
-        p_value = binomial_pvalue(
-            int(round(accuracy * x.shape[0])), x.shape[0], 1.0 / t
-        )
-        return OnlineResult(
-            accuracy=accuracy,
-            num_samples=x.shape[0],
-            num_classes=t,
-            training_accuracy=reference,
-            threshold=threshold,
-            p_value=p_value,
-            is_cipher=accuracy > threshold,
+        return OnlineResult.from_counts(
+            int((predictions == y).sum()),
+            x.shape[0],
+            t,
+            reference,
+            decision_threshold(reference, t),
         )
 
     def distinguish(self, oracle: Oracle, num_samples: int, rng=None) -> str:

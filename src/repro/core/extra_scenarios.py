@@ -1,16 +1,14 @@
 """Extension scenarios: the paper's future-work targets.
 
 §6 proposes experimenting with "other non-Markov ciphers and Markov
-ciphers like GIFT".  These scenarios wire the framework to the
-remaining primitives in :mod:`repro.ciphers`:
+ciphers like GIFT".  These scenarios wire the framework to the GIFT
+family in :mod:`repro.ciphers`:
 
-* :class:`SalsaScenario` — the sub-key-free Salsa20 double-round
-  iteration (named in §2.1 as a non-Markov example);
-* :class:`TriviumScenario` — IV differences against round-reduced
-  (reduced warm-up) Trivium keystream (the other §2.1 example);
+* :class:`Gift64Scenario` — round-reduced GIFT-64 with per-sample keys;
 * :class:`Gift16Scenario` — the scaled GIFT-like SPN, whose exact
   all-in-one distribution (:func:`repro.diffcrypt.allinone.gift16_markov_distribution`)
-  provides the Bayes ceiling for the ML accuracy.
+  provides the Bayes ceiling for the ML accuracy;
+* :class:`ToyGiftScenario` — the 8-bit toy SPN of Figure 1.
 """
 
 from __future__ import annotations
@@ -25,105 +23,9 @@ from repro.ciphers.gift import (
     Gift16,
     encrypt_batch as gift64_encrypt_batch,
 )
-from repro.ciphers.salsa import SalsaPermutation
 from repro.ciphers.toygift import ToyGift
-from repro.ciphers.trivium import IV_BITS, KEY_BITS, Trivium
 from repro.core.scenario import DifferentialScenario
 from repro.errors import DistinguisherError
-
-
-class SalsaScenario(DifferentialScenario):
-    """Chosen-difference game on the round-reduced Salsa double-round.
-
-    ``rounds`` counts double rounds; differences default to single bits
-    in words 6 and 7 (two of the nonce words in the Salsa20 stream
-    cipher's state layout).
-    """
-
-    input_words = 16
-    output_words = 16
-    word_width = 32
-
-    def __init__(self, rounds: int = 2, differences: Optional[np.ndarray] = None):
-        if differences is None:
-            differences = np.zeros((2, 16), dtype=np.uint32)
-            differences[0, 6] = 1
-            differences[1, 7] = 1
-        super().__init__(np.asarray(differences, dtype=np.uint32))
-        self.permutation = SalsaPermutation(rounds)
-        self.rounds = int(rounds)
-
-    def sample_base_inputs(self, n, rng):
-        return rng.integers(0, 1 << 32, size=(n, 16), dtype=np.uint64).astype(
-            np.uint32
-        )
-
-    def pipeline(self, inputs, context=None):
-        del context
-        return self.permutation(inputs)
-
-
-class TriviumScenario(DifferentialScenario):
-    """IV-difference game on reduced-warm-up Trivium.
-
-    Inputs are the 10 IV bytes; per-sample 80-bit keys are context;
-    the observable is ``output_bits`` keystream bits packed into bytes.
-    ``warmup`` is the round-reduction knob (full Trivium uses 1152).
-    """
-
-    input_words = 10  # IV bytes
-    word_width = 8
-
-    def __init__(
-        self,
-        warmup: int = 384,
-        diff_bits: Sequence[int] = (0, 40),
-        output_bits: int = 64,
-        masks: Optional[np.ndarray] = None,
-    ):
-        if output_bits <= 0 or output_bits % 8:
-            raise DistinguisherError(
-                f"output_bits must be a positive multiple of 8, got {output_bits}"
-            )
-        if masks is not None:
-            # The whole 80-bit IV is attacker-chosen, so any byte
-            # pattern is a legal difference — the search layer hands
-            # multi-bit masks through here.
-            masks = np.asarray(masks, dtype=np.uint8)
-            if masks.ndim != 2 or masks.shape[1] != 10:
-                raise DistinguisherError(
-                    f"Trivium masks must have shape (t, 10), got {masks.shape}"
-                )
-        else:
-            masks = np.zeros((len(diff_bits), 10), dtype=np.uint8)
-            for row, bit in enumerate(diff_bits):
-                if not 0 <= bit < IV_BITS:
-                    raise DistinguisherError(
-                        f"IV difference bit {bit} outside [0, {IV_BITS})"
-                    )
-                masks[row, bit // 8] = 1 << (bit % 8)
-        self.output_words = output_bits // 8
-        super().__init__(masks)
-        self.trivium = Trivium(warmup)
-        self.output_bits = int(output_bits)
-
-    def sample_base_inputs(self, n, rng):
-        return rng.integers(0, 256, size=(n, 10), dtype=np.uint8)
-
-    def sample_context(self, n, rng):
-        return rng.integers(0, 256, size=(n, 10), dtype=np.uint8)
-
-    def pipeline(self, inputs, context=None):
-        if context is None:
-            raise DistinguisherError("TriviumScenario needs per-sample keys")
-        iv_bits = np.unpackbits(
-            np.asarray(inputs, dtype=np.uint8), axis=1, bitorder="little"
-        )[:, :IV_BITS]
-        key_bits = np.unpackbits(
-            np.asarray(context, dtype=np.uint8), axis=1, bitorder="little"
-        )[:, :KEY_BITS]
-        stream = self.trivium.keystream_batch(key_bits, iv_bits, self.output_bits)
-        return np.packbits(stream, axis=1, bitorder="little")
 
 
 class Gift64Scenario(DifferentialScenario):

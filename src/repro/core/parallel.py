@@ -40,7 +40,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import scenario as scenario_module
-from repro.core.cache import DatasetCache, dataset_cache_key
 from repro.core.oracle import Oracle
 from repro.errors import DistinguisherError
 from repro.obs import context as obs_context
@@ -130,7 +129,6 @@ def generate_dataset_sharded(
     shuffle: bool = True,
     workers: int = 1,
     shard_size: int = DEFAULT_SHARD_SIZE,
-    cache: Optional[DatasetCache] = None,
     oracle: Optional[Oracle] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Shard-deterministic ``(features, labels)`` for ``scenario``.
@@ -141,36 +139,14 @@ def generate_dataset_sharded(
     ``oracle`` replaces the scenario's cipher oracle (the online phase
     queries the oracle under test).  An oracle may carry state — a
     memoised :class:`~repro.core.oracle.RandomOracle` answers by query
-    order — that neither crosses processes nor enters the cache key, so
-    with one the shards run in this process, in shard order, and the
-    cache is skipped.
-
-    ``cache`` defaults to the directory named by the
-    ``REPRO_DATASET_CACHE`` environment variable (no caching when
-    unset).  The key covers the scenario fingerprint, every generation
-    parameter and the root seed material, so a hit is bit-identical to a
-    fresh run; when ``rng`` is a live generator its entropy draw happens
-    before the lookup, leaving the caller's stream state independent of
-    hit or miss.
+    order — that does not cross processes, so with one the shards run
+    in this process, in shard order.
     """
     workers = int(workers)
     if workers < 1:
         raise DistinguisherError(f"workers must be >= 1, got {workers}")
     sizes = shard_sizes(n_per_class, shard_size)
     root = seed_sequence_from(rng)
-    if oracle is not None:
-        cache = None
-    elif cache is None:
-        cache = DatasetCache.from_env()
-    key = None
-    if cache is not None:
-        key = dataset_cache_key(scenario, n_per_class, shard_size, shuffle, root)
-        cached = cache.load(key)
-        if cached is not None:
-            _log.debug(
-                "data.cache_hit", n_per_class=n_per_class, key=key[:12]
-            )
-            return cached
     children = root.spawn(len(sizes) + 1)
     jobs = [
         (scenario, size, child, oracle)
@@ -209,8 +185,6 @@ def generate_dataset_sharded(
     for start in range(0, y.shape[0], EXPAND_CHUNK_ROWS):
         rows = slice(start, start + EXPAND_CHUNK_ROWS)
         x[rows] = scenario_module.state_to_bits(words[rows], scenario.word_width)
-    if cache is not None and key is not None:
-        cache.store(key, x, y)
     return x, y
 
 

@@ -44,6 +44,53 @@ def _byte_flip_mask(byte_index: int, bit: int = 0) -> Tuple[int, int]:
     return word, 1 << (8 * offset + bit)
 
 
+def _canonical(value):
+    """A deterministic, picklable projection of ``value`` for hashing."""
+    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+        return value
+    if isinstance(value, np.ndarray):
+        return ("ndarray", str(value.dtype), value.shape, value.tobytes())
+    if isinstance(value, np.generic):
+        return ("npscalar", str(value.dtype), value.item())
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, tuple(_canonical(v) for v in value))
+    if isinstance(value, dict):
+        return (
+            "dict",
+            tuple(
+                (str(k), _canonical(v)) for k, v in sorted(value.items())
+            ),
+        )
+    if hasattr(value, "__dict__"):
+        return (
+            "object",
+            type(value).__module__,
+            type(value).__qualname__,
+            _canonical(vars(value)),
+        )
+    return ("repr", repr(value))
+
+
+def scenario_fingerprint(scenario) -> tuple:
+    """Structural fingerprint of a scenario (class + all attributes).
+
+    The model registry hashes it into a manifest's
+    ``fingerprint_sha256``, so a saved model names the exact game it was
+    trained on.  The chosen difference set is folded in *explicitly*
+    (byte-for-byte, on top of whatever ``__dict__`` carries): two
+    scenarios that agree on every constructor parameter except one
+    difference bit must fingerprint apart, or a search-discovered model
+    could be mistaken for one trained on a paper scenario.
+    """
+    masks = getattr(scenario, "difference_masks", None)
+    return (
+        type(scenario).__module__,
+        type(scenario).__qualname__,
+        _canonical(getattr(scenario, "__dict__", {})),
+        ("difference_masks", _canonical(np.asarray(masks)) if masks is not None else None),
+    )
+
+
 class DifferentialScenario(abc.ABC):
     """Base class for ``t``-class chosen-difference experiments."""
 

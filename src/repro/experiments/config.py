@@ -14,10 +14,6 @@ experiment's semantics:
   bit-identical across worker counts.
 * ``REPRO_DTYPE`` — compute dtype for the neural networks (``float32``
   or ``float64``; unset keeps the float64 default).
-* ``REPRO_DATASET_CACHE`` — directory for the content-addressed dataset
-  cache (:mod:`repro.core.cache`); unset disables caching.  Cache hits
-  are bit-identical to fresh generation, so this knob, like the others,
-  never changes results.
 
 ``REPRO_WORKERS`` also controls experiment-grid parallelism: the table
 runners train independent (cipher, rounds, network) cells in that many

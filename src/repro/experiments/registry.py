@@ -20,46 +20,6 @@ def _run_complexity() -> Dict:
     return {"experiment": "complexity", "rows": [cube_root_summary(8)]}
 
 
-def _run_panorama(rounds=(2, 3, 4), **_kwargs) -> Dict:
-    """Exact differential/linear/all-in-one comparison on Gift16."""
-    from repro.diffcrypt.linear import gift16_cryptanalytic_panorama
-
-    rows = [gift16_cryptanalytic_panorama(r, (0x0001, 0x0010)) for r in rounds]
-    return {"experiment": "panorama", "rows": rows}
-
-
-def _run_key_recovery(
-    attack_rounds: int = 4,
-    train_samples: int = 40_000,
-    n_pairs: int = 256,
-    candidate_bits: int = 12,
-    rng=5,
-) -> Dict:
-    """Gohr-style last-round-subkey recovery on round-reduced SPECK."""
-    from repro.core.key_recovery import SpeckKeyRecovery
-
-    recovery = SpeckKeyRecovery(attack_rounds=attack_rounds, epochs=4, rng=rng)
-    accuracy = recovery.train_distinguisher(train_samples)
-    result = recovery.attack(
-        (0x1918, 0x1110, 0x0908, 0x0100),
-        n_pairs=n_pairs,
-        candidate_bits=candidate_bits,
-        rng=3,
-    )
-    return {
-        "experiment": "key-recovery",
-        "rows": [
-            {
-                "attack_rounds": attack_rounds,
-                "distinguisher_accuracy": accuracy,
-                "candidates": len(result.candidates),
-                "true_key_rank": result.true_key_rank,
-                "best_candidate": f"{result.best:#06x}",
-            }
-        ],
-    }
-
-
 def _run_search_toyspeck(
     rounds: int = 3,
     population_size: int = 24,
@@ -122,8 +82,6 @@ EXPERIMENTS: Dict[str, Callable[..., Dict]] = {
     "speck-baseline": run_speck_baseline,
     "toyspeck-allinone": run_toyspeck_allinone,
     "complexity": _run_complexity,
-    "panorama": _run_panorama,
-    "key-recovery": _run_key_recovery,
     "search-toyspeck": _run_search_toyspeck,
 }
 

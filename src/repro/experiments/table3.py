@@ -91,8 +91,8 @@ def run_table3(
 
     ``queue_dir`` makes the grid resumable through :mod:`repro.jobs`:
     the shared dataset is regenerated from the pinned seed on every
-    invocation (cheap via the dataset cache), completed networks replay
-    from disk, and only the missing cells train.  ``rng`` must then be
+    invocation (a small share of one cell's training), completed
+    networks replay from disk, and only the missing cells train.  ``rng`` must then be
     an integer seed or ``None``.
     """
     scale = default_scale()

@@ -125,8 +125,8 @@ class JobRunner:
 
         ``job_payloads`` maps job id -> payload (all submitted cells,
         rebuilt by the caller on every invocation — payload
-        reconstruction is deterministic and the dataset cache makes it
-        cheap).  Returns the final status counts.
+        reconstruction is deterministic and cheap next to the training
+        it saves).  Returns the final status counts.
         """
         self.queue.reset_interrupted()
         todo: List[str] = []

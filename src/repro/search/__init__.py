@@ -12,8 +12,7 @@ package replaces the hand with an AutoND-style loop:
   top-``k`` per cipher × rounds.
 * :mod:`repro.search.config` — a declarative JSON scenario schema and a
   builder registry, so any registered cipher × rounds × difference-set
-  (including the related-key variants of
-  :mod:`repro.core.related_key`) is a one-line experiment.
+  is a one-line experiment.
 * :mod:`repro.search.pipeline` — search → train
   (:class:`~repro.core.distinguisher.MLDistinguisher`) → register
   (:class:`~repro.serve.ModelRegistry`), with the discovered difference

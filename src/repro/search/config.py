@@ -24,8 +24,7 @@ downstream :class:`~repro.core.distinguisher.MLDistinguisher` fit and
 
 Builders deliberately construct *scenario objects* (not raw pipelines):
 a built scenario carries its difference set in its fingerprint, so the
-dataset cache and the registry manifest both see exactly what was
-searched or specified.
+registry manifest sees exactly what was searched or specified.
 """
 
 from __future__ import annotations
@@ -39,13 +38,7 @@ import numpy as np
 from repro.core.extra_scenarios import (
     Gift16Scenario,
     Gift64Scenario,
-    SalsaScenario,
     ToyGiftScenario,
-    TriviumScenario,
-)
-from repro.core.related_key import (
-    SpeckRelatedKeyScenario,
-    ToySpeckRelatedKeyScenario,
 )
 from repro.core.scenario import (
     DifferentialScenario,
@@ -125,19 +118,6 @@ def _probe_gimli_cipher(total_rounds: int = 8):
 # attacker-controlled, so every bit of all four words is searchable.
 
 
-def _build_trivium(masks, warmup: int = 384, output_bits: int = 64):
-    return TriviumScenario(
-        warmup=warmup,
-        output_bits=output_bits,
-        masks=np.asarray(masks, dtype=np.uint8),
-    )
-
-
-def _probe_trivium(warmup: int = 384, output_bits: int = 64):
-    del warmup, output_bits
-    return _single_bit_masks([(0, 0), (5, 0)], 10, np.uint8)  # IV bits 0 / 40
-
-
 def _build_toygift(masks):
     return ToyGiftScenario(masks=np.asarray(masks, dtype=np.uint8))
 
@@ -191,41 +171,6 @@ def _probe_gift64(rounds: int = 4):
     return _single_bit_masks([(0, 0), (1, 0)], 2, np.uint32)
 
 
-def _build_salsa(masks, rounds: int = 2):
-    return SalsaScenario(rounds=rounds, differences=masks)
-
-
-def _probe_salsa(rounds: int = 2):
-    del rounds
-    return _single_bit_masks([(6, 0), (7, 0)], 16, np.uint32)
-
-
-def _build_speck_related_key(masks, rounds: int = 7):
-    return SpeckRelatedKeyScenario(rounds=rounds, masks=np.asarray(masks, np.uint16))
-
-
-def _probe_speck_related_key(rounds: int = 7):
-    del rounds
-    probe = np.zeros((2, 6), dtype=np.uint16)
-    probe[0, 0] = 0x0040  # Gohr's plaintext difference, key half zero
-    probe[1, 5] = 0x0001  # pure key difference in the first round key
-    return probe
-
-
-def _build_toyspeck_related_key(masks, rounds: int = 4):
-    return ToySpeckRelatedKeyScenario(
-        rounds=rounds, masks=np.asarray(masks, np.uint8)
-    )
-
-
-def _probe_toyspeck_related_key(rounds: int = 4):
-    del rounds
-    probe = np.zeros((2, 6), dtype=np.uint8)
-    probe[0, 1] = 0x40
-    probe[1, 5] = 0x01
-    return probe
-
-
 SCENARIO_BUILDERS: Dict[str, ScenarioBuilder] = {}
 
 
@@ -252,16 +197,10 @@ for _builder in (
     ScenarioBuilder("gimli-cipher", _build_gimli_cipher, _probe_gimli_cipher),
     ScenarioBuilder("gimli-permutation", _build_gimli_permutation,
                     _probe_gimli_permutation),
-    ScenarioBuilder("trivium", _build_trivium, _probe_trivium),
     ScenarioBuilder("toygift", _build_toygift, _probe_toygift),
     ScenarioBuilder("toyspeck", _build_toyspeck, _probe_toyspeck),
     ScenarioBuilder("gift16", _build_gift16, _probe_gift16),
     ScenarioBuilder("gift64", _build_gift64, _probe_gift64),
-    ScenarioBuilder("salsa", _build_salsa, _probe_salsa),
-    ScenarioBuilder("speck-related-key", _build_speck_related_key,
-                    _probe_speck_related_key),
-    ScenarioBuilder("toyspeck-related-key", _build_toyspeck_related_key,
-                    _probe_toyspeck_related_key),
 ):
     register_scenario_builder(_builder)
 

@@ -1,9 +1,9 @@
 """Evolutionary search over input differences (AutoND-style).
 
 The search space is the non-zero bit-difference space of a scenario's
-input — ``2^16`` for ToySpeck, ``2^48`` for its related-key variant,
-``2^120`` for a Gimli-Hash message block — far too large to sweep but
-highly structured: good differences are low-weight, and the bias score
+input — ``2^16`` for ToySpeck, ``2^64`` for GIFT-64, ``2^120`` for a
+Gimli-Hash message block — far too large to sweep but highly
+structured: good differences are low-weight, and the bias score
 of a difference varies smoothly-ish under single-bit edits.  A small
 evolutionary loop exploits that:
 
@@ -23,8 +23,7 @@ bit-identical ranked results for any ``REPRO_WORKERS``.
 
 An optional ``allowed`` bit mask restricts the search to a subspace —
 e.g. the message bytes of a Gimli-Hash block (flipping padding bytes
-would change the message length, not the message), or plaintext-only /
-key-only subspaces of a related-key scenario.
+would change the message length, not the message).
 """
 
 from __future__ import annotations

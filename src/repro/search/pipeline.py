@@ -9,10 +9,7 @@ whole chain the paper performs by hand:
    search — or seed it, when both are present.
 2. **Train**: the standard offline phase of
    :class:`~repro.core.distinguisher.MLDistinguisher` on the built
-   scenario (sharded generation and the dataset cache apply unchanged —
-   the scenario fingerprint covers the discovered difference set, so
-   searched scenarios can never collide with paper scenarios in
-   ``REPRO_DATASET_CACHE``).
+   scenario (sharded generation applies unchanged).
 3. **Register** (optional): persist the trained model in a
    :class:`~repro.serve.ModelRegistry`; the manifest's ``search``
    section records the discovered differences, their bias scores and

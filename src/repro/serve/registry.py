@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cache import scenario_fingerprint
+from repro.core.scenario import scenario_fingerprint
 from repro.core.statistics import decision_threshold
 from repro.errors import LayerError, RegistryError, TrainingError
 from repro.nn.model import Sequential

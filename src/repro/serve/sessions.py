@@ -24,11 +24,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.distinguisher import OnlineResult
-from repro.core.statistics import (
-    binomial_pvalue,
-    decision_threshold,
-    required_online_samples,
-)
+from repro.core.statistics import decision_threshold, required_online_samples
 from repro.errors import ServeError
 
 
@@ -141,10 +137,7 @@ class OnlineSession:
     def verdict(self) -> Optional[str]:
         """``"CIPHER"``/``"RANDOM"`` once the budget is met, else ``None``."""
         with self._lock:
-            if self._seen < self.target_samples:
-                return None
-            accuracy = self._correct / self._seen
-            return "CIPHER" if accuracy > self.threshold else "RANDOM"
+            return self._state_locked()["verdict"]
 
     def _state_locked(self) -> dict:
         accuracy = self._correct / self._seen if self._seen else None
@@ -183,17 +176,12 @@ class OnlineSession:
                     f"online phase incomplete: {self._seen} of "
                     f"{self.target_samples} samples seen"
                 )
-            accuracy = self._correct / self._seen
-            return OnlineResult(
-                accuracy=accuracy,
-                num_samples=self._seen,
-                num_classes=self.num_classes,
-                training_accuracy=self.training_accuracy,
-                threshold=self.threshold,
-                p_value=binomial_pvalue(
-                    self._correct, self._seen, 1.0 / self.num_classes
-                ),
-                is_cipher=accuracy > self.threshold,
+            return OnlineResult.from_counts(
+                self._correct,
+                self._seen,
+                self.num_classes,
+                self.training_accuracy,
+                self.threshold,
             )
 
 

@@ -63,7 +63,7 @@ def rotr(value: IntOrArray, amount: int, width: int) -> IntOrArray:
 
 
 def rotl32(value: IntOrArray, amount: int) -> IntOrArray:
-    """32-bit left rotation (the Gimli and Salsa word size)."""
+    """32-bit left rotation (the Gimli word size)."""
     return rotl(value, amount, 32)
 
 

@@ -18,7 +18,7 @@ from repro.errors import CipherError, ShapeError
 class TestRegistry:
     def test_known_ciphers_present(self):
         names = registered_ciphers()
-        for expected in ("gimli", "salsa", "speck32-64", "toyspeck", "gift64"):
+        for expected in ("gimli", "speck32-64", "toyspeck", "gift64"):
             assert expected in names
 
     def test_get_cipher_constructs(self):

@@ -12,6 +12,7 @@ from repro.core.distinguisher import MLDistinguisher
 from repro.core.scenario import GimliHashScenario, ToySpeckScenario
 from repro.errors import DistinguisherAborted, DistinguisherError
 from repro.nn.architectures import build_mlp
+from repro.serve import OnlineSession
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,32 @@ class TestOnlinePhase:
         assert distinguisher.training_advantage == pytest.approx(
             report.validation_accuracy - 0.5
         )
+
+    @pytest.mark.parametrize("oracle", ["cipher", "random"])
+    def test_matches_online_session(self, trained, oracle):
+        """Batch and incremental online phases share one verdict rule."""
+        scenario, distinguisher, report = trained
+
+        def make_oracle():
+            if oracle == "cipher":
+                return scenario.cipher_oracle()
+            return scenario.random_oracle(rng=8)
+
+        batch = distinguisher.test(make_oracle(), 1000, rng=7)
+        # Replay the same queries (``test`` seeds its data with
+        # ``make_rng(7)``) and feed them in two increments.
+        x, y = scenario.generate_dataset(
+            500, rng=np.random.default_rng(7), oracle=make_oracle()
+        )
+        predicted = distinguisher.model.predict_classes(x)
+        session = OnlineSession(
+            report.validation_accuracy, scenario.num_classes,
+            target_samples=y.shape[0],
+        )
+        session.update(predicted[:300], y[:300])
+        session.update(predicted[300:], y[300:])
+        assert session.result() == batch
+        assert session.verdict == batch.verdict
 
     def test_online_log2(self, trained):
         scenario, distinguisher, _ = trained

@@ -1,78 +1,12 @@
-"""Tests for the extension scenarios (Salsa, Trivium, Gift16)."""
+"""Tests for the extension scenarios (Gift16)."""
 
 import numpy as np
 import pytest
 
 from repro.core.distinguisher import MLDistinguisher
-from repro.core.extra_scenarios import (
-    Gift16Scenario,
-    SalsaScenario,
-    TriviumScenario,
-)
+from repro.core.extra_scenarios import Gift16Scenario
 from repro.errors import DistinguisherError
 from repro.nn.architectures import build_mlp
-
-
-class TestSalsaScenario:
-    def test_dataset_shapes(self, rng):
-        scenario = SalsaScenario(rounds=1)
-        x, y = scenario.generate_dataset(20, rng=rng)
-        assert x.shape == (40, 512)
-        assert scenario.feature_bits == 512
-
-    def test_one_double_round_distinguishable(self):
-        scenario = SalsaScenario(rounds=1)
-        d = MLDistinguisher(
-            scenario, model=build_mlp([64, 64], "relu"), epochs=3, rng=4
-        )
-        report = d.train(num_samples=3000)
-        assert report.validation_accuracy > 0.9
-
-    def test_custom_differences(self, rng):
-        diffs = np.zeros((3, 16), dtype=np.uint32)
-        diffs[0, 0] = 1
-        diffs[1, 5] = 2
-        diffs[2, 10] = 4
-        scenario = SalsaScenario(rounds=1, differences=diffs)
-        assert scenario.num_classes == 3
-
-
-class TestTriviumScenario:
-    def test_dataset_shapes(self, rng):
-        scenario = TriviumScenario(warmup=64, output_bits=32)
-        x, y = scenario.generate_dataset(15, rng=rng)
-        assert x.shape == (30, 32)
-
-    def test_low_warmup_distinguishable(self):
-        scenario = TriviumScenario(warmup=240)
-        d = MLDistinguisher(
-            scenario, model=build_mlp([64, 64], "relu"), epochs=3, rng=3
-        )
-        report = d.train(num_samples=3000)
-        assert report.validation_accuracy > 0.9
-
-    def test_signal_decays_with_warmup(self, rng):
-        """Mean feature distance between classes shrinks as warm-up grows."""
-
-        def class_gap(warmup):
-            scenario = TriviumScenario(warmup=warmup)
-            x, y = scenario.generate_dataset(150, rng=np.random.default_rng(9))
-            return np.abs(
-                x[y == 0].mean(axis=0) - x[y == 1].mean(axis=0)
-            ).max()
-
-        assert class_gap(120) > class_gap(720)
-
-    def test_invalid_construction(self):
-        with pytest.raises(DistinguisherError):
-            TriviumScenario(diff_bits=(0, 80))
-        with pytest.raises(DistinguisherError):
-            TriviumScenario(output_bits=12)
-
-    def test_requires_keys(self, rng):
-        scenario = TriviumScenario(warmup=16)
-        with pytest.raises(DistinguisherError):
-            scenario.pipeline(np.zeros((2, 10), dtype=np.uint8), None)
 
 
 class TestGift16Scenario:

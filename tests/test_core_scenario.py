@@ -11,6 +11,7 @@ from repro.core.scenario import (
     GimliPermutationScenario,
     SpeckRealOrRandomScenario,
     ToySpeckScenario,
+    scenario_fingerprint,
 )
 from repro.errors import DistinguisherError
 from repro.utils.rng import make_rng
@@ -198,3 +199,31 @@ class TestSpeckRealOrRandom:
     def test_invalid_sample_count(self, rng):
         with pytest.raises(DistinguisherError):
             SpeckRealOrRandomScenario().generate_dataset(0, rng=rng)
+
+
+class TestScenarioFingerprint:
+    """The fingerprint must carry the nested state and the difference set."""
+
+    def test_fingerprint_sees_nested_objects(self):
+        # GimliHashScenario holds a permutation *object*; its attributes
+        # must reach the fingerprint (two round counts must differ).
+        a = scenario_fingerprint(GimliHashScenario(rounds=4))
+        b = scenario_fingerprint(GimliHashScenario(rounds=6))
+        assert a != b
+
+    def test_single_bit_mask_change_changes_fingerprint(self):
+        a = ToySpeckScenario(deltas=(0x0040, 0x2000))
+        b = ToySpeckScenario(deltas=(0x0041, 0x2000))
+        assert scenario_fingerprint(a) != scenario_fingerprint(b)
+
+    def test_mask_order_changes_fingerprint(self):
+        a = ToySpeckScenario(deltas=(0x0040, 0x2000))
+        b = ToySpeckScenario(deltas=(0x2000, 0x0040))
+        assert scenario_fingerprint(a) != scenario_fingerprint(b)
+
+    def test_gimli_hash_searched_masks_change_fingerprint(self):
+        base = GimliHashScenario(rounds=2)
+        searched = np.array(base.difference_masks, copy=True)
+        searched[0, 0] ^= np.uint32(0x2)  # second bit of byte 0
+        moved = GimliHashScenario(rounds=2, masks=searched)
+        assert scenario_fingerprint(base) != scenario_fingerprint(moved)

@@ -64,6 +64,10 @@ class TestRegistry:
         with pytest.raises(ExperimentError):
             get_experiment("table9")
 
+    def test_every_entry_callable(self):
+        for name, func in EXPERIMENTS.items():
+            assert callable(func), name
+
     def test_complexity_runs(self):
         result = run_experiment("complexity")
         assert result["rows"][0]["classical_log2"] == 52.0

@@ -132,29 +132,3 @@ class TestTable3Invariance:
             assert rows == serial
         assert [row["network"] for row in serial["rows"]] == ["MLP II", "MLP IV"]
         assert [row["measured"] for row in serial["rows"]] == [0.86, 0.91]
-
-    def test_second_run_hits_dataset_cache(self, monkeypatch, tmp_path):
-        # workers=None reads REPRO_WORKERS, here unset.
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        for workers in (1, None):
-            cache_dir = tmp_path / str(workers)
-            monkeypatch.setenv("REPRO_DATASET_CACHE", str(cache_dir))
-            kwargs = dict(
-                networks=("MLP IV",),
-                total_rounds=3,
-                num_samples=800,
-                epochs=1,
-                rng=19,
-                workers=workers,
-            )
-            first = _strip_timing(run_table3(**kwargs))
-            entries = list(cache_dir.glob("*.npz"))
-            assert len(entries) == 1, workers
-            before = entries[0].stat().st_mtime_ns
-            second = _strip_timing(run_table3(**kwargs))
-            assert first == second
-            # Same single entry, untouched: the dataset was read, not
-            # rebuilt.
-            entries_after = list(cache_dir.glob("*.npz"))
-            assert len(entries_after) == 1
-            assert entries_after[0].stat().st_mtime_ns == before

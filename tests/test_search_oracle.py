@@ -177,7 +177,6 @@ EQUIVALENCE_FAMILIES = [
     ("gimli-cipher", {"total_rounds": 3}),
     ("gift64", {"rounds": 2}),
     ("toyspeck", {"rounds": 2}),
-    ("toyspeck-related-key", {"rounds": 2}),
 ]
 
 

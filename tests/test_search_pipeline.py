@@ -202,7 +202,7 @@ class TestFuzzScenarioSpec:
     @example(raw=SILENTLY_CAST["toyspeck-320"])
     @example(raw=SILENTLY_CAST["gimli-cipher-1.9"])
     @example(raw={"scenario": "toyspeck", "differences": [[64], [32]]})
-    @example(raw={"scenario": "trivium", "params": {"warmup": -1},
+    @example(raw={"scenario": "gimli-permutation", "params": {"rounds": -1},
                   "search": {}})
     @example(raw={"scenario": "gift64", "params": {"rounds": "x"},
                   "search": {}})
@@ -327,7 +327,7 @@ def _fresh_obs_stream():
 
 
 class TestNewScenarioFamilies:
-    """The gimli-cipher, trivium and toygift builder families."""
+    """The gimli-cipher and toygift builder families."""
 
     def test_toygift_exhaustive_search_space(self):
         builder = get_scenario_builder("toygift")
@@ -344,23 +344,6 @@ class TestNewScenarioFamilies:
         )
         result = run_search(spec)
         assert result.best_score > result.noise_floor
-
-    def test_trivium_prototype_and_build(self):
-        builder = get_scenario_builder("trivium")
-        prototype = builder.prototype(warmup=96, output_bits=32)
-        assert prototype.input_words == 10
-        masks = np.zeros((2, 10), dtype=np.uint8)
-        masks[0, 0] = 1
-        masks[1, 5] = 1
-        spec = ScenarioSpec.from_dict(
-            {
-                "scenario": "trivium",
-                "params": {"warmup": 96, "output_bits": 32},
-                "differences": masks.tolist(),
-            }
-        )
-        scenario = spec.build_scenario(spec.differences)
-        assert scenario.output_words == 4
 
     def test_gimli_cipher_prototype_and_build(self):
         builder = get_scenario_builder("gimli-cipher")

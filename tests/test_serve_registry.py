@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro import GimliHashScenario
+from repro import GimliCipherScenario, GimliHashScenario, ToySpeckScenario
+from repro.core.extra_scenarios import Gift64Scenario
 from repro.errors import RegistryError
 from repro.nn import Dense, ReLU, Sequential, Softmax, quantize_model
 from repro.nn.architectures import mlp_iii
@@ -83,6 +84,28 @@ class TestRegistration:
         assert facts["feature_bits"] == 128
         masks = np.asarray(facts["input_differences"])
         assert np.array_equal(masks, scenario.difference_masks)
+
+    @pytest.mark.parametrize(
+        "scenario,digest",
+        [
+            (GimliHashScenario(rounds=6),
+             "8f215a517289c96a866d9102499ffce0705bc8d755ac2eb1a0769973a0642e24"),
+            (GimliCipherScenario(total_rounds=7),
+             "8dd6c9ad0a90ed692112c409f9c57e759058ace9bef395fa02cd871a1e18077d"),
+            (Gift64Scenario(rounds=3),
+             "83c0f762f0826322b8538e20b48dbb70be8c32fb183ac75961731d5a02cc4b7b"),
+            (ToySpeckScenario(rounds=3),
+             "9b1d2608a141aa55e953f9054b349347301e9e3dce592fc3ad2a6649f748fd92"),
+        ],
+        ids=["gimli-hash-r6", "gimli-cipher-r7", "gift64-r3", "toyspeck-r3"],
+    )
+    def test_scenario_fingerprint_is_pinned(self, scenario, digest, rng, tmp_path):
+        # Saved manifests carry this digest; a change to the fingerprint
+        # layout would silently re-fingerprint every registered model.
+        record = ModelRegistry(str(tmp_path)).register(
+            make_model(rng), "m", scenario=scenario
+        )
+        assert record.manifest["scenario"]["fingerprint_sha256"] == digest
 
     def test_untrained_manifest_has_no_threshold(self, rng, tmp_path):
         record = ModelRegistry(str(tmp_path)).register(make_model(rng), "m")
