@@ -10,9 +10,11 @@ REGISTRY ?= registry
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-# Quick-mode engineering benchmarks: one round each, writes and
-# validates benchmarks/BENCH_nn_ops.json and benchmarks/BENCH_ciphers.json
-# (fails if either artefact is malformed).
+# Quick-mode engineering benchmarks: few rounds per row; runs all seven
+# suites and writes and validates every benchmarks/BENCH_<suite>.json
+# (fails if any artefact is malformed).  This overwrites the committed
+# baselines with noisy numbers; to look without touching them, run
+# benchmarks/run_benchmarks.py --quick --output-dir DIR.
 bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/run_benchmarks.py --quick
 
@@ -21,10 +23,14 @@ bench:
 bench-full:
 	PYTHONPATH=src $(PYTHON) benchmarks/run_benchmarks.py
 
-# Re-measure and fail if any benchmark regressed by more than 2x against
-# the committed BENCH_*.json baselines.
+# Measure every suite into a temporary directory, then fail if any
+# benchmark regressed by more than 2x against the committed
+# BENCH_*.json baselines.
 bench-check:
-	PYTHONPATH=src $(PYTHON) benchmarks/check_regression.py
+	@out=$$(mktemp -d) && \
+	PYTHONPATH=src $(PYTHON) benchmarks/run_benchmarks.py --output-dir $$out && \
+	PYTHONPATH=src $(PYTHON) benchmarks/check_regression.py $$out; \
+	status=$$?; rm -rf $$out; exit $$status
 
 # Start the online-phase serving endpoint over the on-disk registry
 # (REGISTRY=dir to point elsewhere; the --max-batch / --max-wait-ms

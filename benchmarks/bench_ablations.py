@@ -12,8 +12,6 @@
   128-bit rate row only (what the sponge attacker actually sees).
 """
 
-from conftest import run_once
-
 from repro.core.distinguisher import MLDistinguisher
 from repro.core.scenario import GimliHashScenario, GimliPermutationScenario
 from repro.errors import DistinguisherAborted
@@ -34,7 +32,7 @@ def _train(scenario, model, seed, epochs=4):
         return 1.0 / scenario.num_classes
 
 
-def test_ablation_svm_vs_mlp(benchmark):
+def test_ablation_svm_vs_mlp():
     scenario = GimliHashScenario(rounds=ROUNDS)
 
     def run():
@@ -44,7 +42,7 @@ def test_ablation_svm_vs_mlp(benchmark):
         svm_acc = _train(scenario, svm, seed=1)
         return mlp_acc, svm_acc
 
-    mlp_acc, svm_acc = run_once(benchmark, run)
+    mlp_acc, svm_acc = run()
     print()
     print(format_table(
         ["classifier", "accuracy"],
@@ -56,7 +54,7 @@ def test_ablation_svm_vs_mlp(benchmark):
     assert mlp_acc >= svm_acc - 0.02
 
 
-def test_ablation_bias_baseline_vs_mlp(benchmark):
+def test_ablation_bias_baseline_vs_mlp():
     """How much of the ML accuracy do marginal bit biases explain?
 
     A naive-Bayes classifier over independent output-difference bits is
@@ -78,7 +76,7 @@ def test_ablation_bias_baseline_vs_mlp(benchmark):
             rows.append((rounds, bias_acc, mlp_acc))
         return rows
 
-    rows = run_once(benchmark, run)
+    rows = run()
     print()
     print(format_table(
         ["rounds", "bit-bias baseline", "MLP"],
@@ -93,7 +91,7 @@ def test_ablation_bias_baseline_vs_mlp(benchmark):
         assert mlp_acc >= bias_acc - 0.05, (rounds, bias_acc, mlp_acc)
 
 
-def test_ablation_num_differences(benchmark):
+def test_ablation_num_differences():
     def run():
         results = []
         for diff_bytes in [(4, 12), (0, 4, 8), (0, 4, 8, 12)]:
@@ -105,7 +103,7 @@ def test_ablation_num_differences(benchmark):
             results.append((len(diff_bytes), acc, acc - 1 / len(diff_bytes)))
         return results
 
-    results = run_once(benchmark, run)
+    results = run()
     print()
     print(format_table(
         ["t", "accuracy", "advantage over 1/t"],
@@ -116,7 +114,7 @@ def test_ablation_num_differences(benchmark):
         assert adv > 0.2
 
 
-def test_ablation_difference_placement(benchmark):
+def test_ablation_difference_placement():
     def run():
         separate = _train(
             GimliHashScenario(rounds=ROUNDS, diff_bytes=(4, 12)),
@@ -130,7 +128,7 @@ def test_ablation_difference_placement(benchmark):
         )
         return separate, same_word
 
-    separate, same_word = run_once(benchmark, run)
+    separate, same_word = run()
     print()
     print(format_table(
         ["placement", "accuracy"],
@@ -142,7 +140,7 @@ def test_ablation_difference_placement(benchmark):
     assert same_word > 0.55
 
 
-def test_ablation_observation_window(benchmark):
+def test_ablation_observation_window():
     def run():
         full = _train(
             GimliPermutationScenario(rounds=ROUNDS),
@@ -156,7 +154,7 @@ def test_ablation_observation_window(benchmark):
         )
         return full, rate_only
 
-    full, rate_only = run_once(benchmark, run)
+    full, rate_only = run()
     print()
     print(format_table(
         ["observation", "accuracy"],

@@ -5,15 +5,13 @@ the designers' 2^52 single-trail bound, and the statistical sizing that
 justifies the online budget.
 """
 
-from conftest import run_once
-
 from repro.core.complexity import cube_root_summary, gimli8_paper_complexity
 from repro.core.statistics import required_online_samples
 from repro.experiments.report import format_table
 
 
-def test_cube_root_comparison(benchmark):
-    summary = run_once(benchmark, cube_root_summary, 8)
+def test_cube_root_comparison():
+    summary = cube_root_summary(8)
     rows = [
         ["classical trail (log2)", summary["classical_log2"]],
         ["ML offline (log2)", summary["ml_offline_log2"]],
@@ -30,7 +28,7 @@ def test_cube_root_comparison(benchmark):
     assert summary["online_exponent_ratio"] < 1 / 3
 
 
-def test_online_budget_consistent_with_accuracy(benchmark):
+def test_online_budget_consistent_with_accuracy():
     """The paper's 2^14.3 online budget sits between what its two
     8-round accuracies require at 1% error: enough for Gimli-Hash
     (0.5219), tight for Gimli-Cipher (0.5099)."""
@@ -41,7 +39,7 @@ def test_online_budget_consistent_with_accuracy(benchmark):
             required_online_samples(0.5099, 2, error_probability=0.01),
         )
 
-    needed_hash, needed_cipher = run_once(benchmark, sizing)
+    needed_hash, needed_cipher = sizing()
     paper_online = gimli8_paper_complexity().online_samples
     print(f"\nonline samples @1% error: hash(0.5219) needs {needed_hash}, "
           f"cipher(0.5099) needs {needed_cipher}; paper budget "

@@ -5,8 +5,6 @@
 * Gift16 against its exact all-in-one Bayes ceiling.
 """
 
-from conftest import run_once
-
 from repro.core.distinguisher import MLDistinguisher
 from repro.core.extra_scenarios import Gift16Scenario, Gift64Scenario
 from repro.diffcrypt.allinone import gift16_allinone
@@ -26,14 +24,14 @@ def _accuracy(scenario, seed, epochs=4, samples=SAMPLES):
         return None
 
 
-def test_gift64_round_sweep(benchmark):
+def test_gift64_round_sweep():
     def run():
         return [
             (rounds, _accuracy(Gift64Scenario(rounds=rounds), seed=9))
             for rounds in (2, 3, 4, 5)
         ]
 
-    results = run_once(benchmark, run)
+    results = run()
     print()
     print(format_table(
         ["rounds", "accuracy"],
@@ -48,7 +46,7 @@ def test_gift64_round_sweep(benchmark):
         assert by_round[4] <= by_round[3] + 0.02
 
 
-def test_gift16_vs_exact_ceiling(benchmark):
+def test_gift16_vs_exact_ceiling():
     deltas = (0x0001, 0x0010)
 
     def run():
@@ -64,7 +62,7 @@ def test_gift16_vs_exact_ceiling(benchmark):
             rows.append((rounds, ceiling, measured))
         return rows
 
-    rows = run_once(benchmark, run)
+    rows = run()
     print()
     print(format_table(
         ["rounds", "Bayes ceiling (exact)", "ML accuracy"],

@@ -5,14 +5,12 @@ characteristic probability 2^-6 by enumeration vs 2^-9 under the Markov
 assumption (Eq. 2), the DDT entries, and the valid input tuples.
 """
 
-from conftest import run_once
-
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.report import format_table
 
 
-def test_figure1(benchmark):
-    result = run_once(benchmark, run_figure1)
+def test_figure1():
+    result = run_figure1()
     rows = [
         ["exact probability", result["paper_exact_probability"],
          result["exact_probability"]],

@@ -15,21 +15,12 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import statistics
-import sys
 import tempfile
-from pathlib import Path
 
-BENCH_DIR = Path(__file__).resolve().parent
-sys.path.insert(0, str(BENCH_DIR.parent / "src"))
-
-from repro.core.parallel import run_grid  # noqa: E402
-from repro.jobs import run_cells  # noqa: E402
-from repro.obs import log as obs_log  # noqa: E402
-
-import timing  # noqa: E402
+import timing
+from repro.core.parallel import run_grid
+from repro.jobs import run_cells
 
 GRID_CELLS = 16
 
@@ -67,14 +58,13 @@ def run(quick: bool) -> dict:
     # Quick mode cuts rounds, never shapes: entry names must match the
     # committed full-mode baseline so check_regression compares them.
     grid_rounds = 3 if quick else 15
-    warmup = 1
     entries = []
 
-    samples = timing.time_calls(lambda: run_grid(_cell, _payloads()), grid_rounds, warmup)
+    samples = timing.sample(lambda: run_grid(_cell, _payloads()), grid_rounds)
     grid_mean = statistics.fmean(samples)
     entries.append(timing.entry("grid_bare_16cells", samples, cells=GRID_CELLS))
 
-    samples = timing.time_calls(_queued_run, grid_rounds, warmup)
+    samples = timing.sample(_queued_run, grid_rounds)
     queued_mean = statistics.fmean(samples)
     entries.append(
         timing.entry(
@@ -87,43 +77,16 @@ def run(quick: bool) -> dict:
 
     replay, tmp = _queued_replay_factory()
     try:
-        samples = timing.time_calls(replay, grid_rounds, warmup)
+        samples = timing.sample(replay, grid_rounds)
     finally:
         tmp.cleanup()
     entries.append(timing.entry("queue_replay_16cells", samples, cells=GRID_CELLS))
 
     return {
-        "suite": "jobs",
-        "quick": bool(quick),
         "grid_cells": GRID_CELLS,
         "benchmarks": entries,
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="few-round smoke timings"
-    )
-    parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=BENCH_DIR,
-        help="where to write BENCH_jobs.json (default: benchmarks/)",
-    )
-    args = parser.parse_args(argv)
-    obs_log.configure(level="warning")  # timings, not heartbeats
-    report = run(args.quick)
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    out_path = args.output_dir / "BENCH_jobs.json"
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    for entry in report["benchmarks"]:
-        overhead = entry.get("overhead_ms_per_cell")
-        note = f"  ({overhead:.3f} ms/cell overhead)" if overhead else ""
-        print(f"{entry['name']}: {entry['mean_s'] * 1e3:.3f} ms{note}")
-    print(f"wrote {out_path}")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(timing.main("jobs", run))

@@ -24,7 +24,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import time
@@ -34,25 +33,12 @@ import numpy as np
 
 import timing
 
-BENCH_DIR = Path(__file__).resolve().parent
-
 
 class _NullStream(io.TextIOBase):
     """A text sink that swallows writes (keeps log cost, drops the I/O)."""
 
     def write(self, text):  # noqa: A003 - io.TextIOBase signature
         return len(text)
-
-
-def _time_rounds(fn, rounds: int, iterations: int):
-    """Per-iteration seconds for ``rounds`` timed batches of ``fn``."""
-    samples = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(iterations):
-            fn()
-        samples.append((time.perf_counter() - start) / iterations)
-    return samples
 
 
 def _build_model():
@@ -73,7 +59,7 @@ def _train_batch(rng):
     return x, y
 
 
-def run(quick: bool, output_dir: Path) -> Path:
+def run(quick: bool) -> dict:
     from repro.obs import log as obs_log
     from repro.obs import metrics as obs_metrics
     from repro.obs import profile as obs_profile
@@ -93,9 +79,7 @@ def run(quick: bool, output_dir: Path) -> Path:
     # Off: the default state — log off, no trace, no profiler.
     obs_log.configure(mode="off")
     obs_trace.disable()
-    for _ in range(2):  # warm scratch buffers / BLAS threads
-        model.train_on_batch(x, y)
-    samples = _time_rounds(
+    samples = timing.sample(
         lambda: model.train_on_batch(x, y), rounds, step_iters
     )
     benchmarks.append(
@@ -119,8 +103,7 @@ def run(quick: bool, output_dir: Path) -> Path:
             step_seconds.observe(time.perf_counter() - start)
             logger.debug("bench.step", loss=float(loss_value))
 
-    instrumented_step()  # warm
-    samples = _time_rounds(instrumented_step, rounds, step_iters)
+    samples = timing.sample(instrumented_step, rounds, step_iters)
     benchmarks.append(
         timing.entry("obs_on_mlp_iii_train_step[batch=256,float32]", samples)
     )
@@ -130,13 +113,13 @@ def run(quick: bool, output_dir: Path) -> Path:
     # -- micro: per-primitive costs ---------------------------------------
     obs_log.configure(mode="off")
     off_logger = obs_log.get_logger("bench.obs.off")
-    samples = _time_rounds(
+    samples = timing.sample(
         lambda: off_logger.debug("noop", value=1), rounds, micro_iters
     )
     benchmarks.append(timing.entry("obs_log_disabled_call", samples))
 
     obs_log.configure(mode="json", level="debug", stream=sink)
-    samples = _time_rounds(
+    samples = timing.sample(
         lambda: logger.debug("line", value=1.0, label="x"), rounds, micro_iters
     )
     benchmarks.append(timing.entry("obs_log_json_line", samples))
@@ -147,7 +130,7 @@ def run(quick: bool, output_dir: Path) -> Path:
         with obs_trace.span("noop"):
             pass
 
-    samples = _time_rounds(disabled_span, rounds, micro_iters)
+    samples = timing.sample(disabled_span, rounds, micro_iters)
     benchmarks.append(timing.entry("obs_span_disabled", samples))
 
     obs_trace.enable()
@@ -159,17 +142,17 @@ def run(quick: bool, output_dir: Path) -> Path:
     samples = []
     for _ in range(rounds):
         obs_trace.drain()  # keep the buffer off its cap between rounds
-        samples.extend(_time_rounds(enabled_span, 1, micro_iters))
+        samples += timing.sample(enabled_span, 1, micro_iters)
     benchmarks.append(timing.entry("obs_span_enabled", samples))
     obs_trace.drain()
     obs_trace.disable()
 
     counter = registry.counter("bench_counter_total")
-    samples = _time_rounds(counter.inc, rounds, micro_iters)
+    samples = timing.sample(counter.inc, rounds, micro_iters)
     benchmarks.append(timing.entry("obs_counter_inc", samples))
 
     histogram = registry.histogram("bench_histogram_seconds")
-    samples = _time_rounds(
+    samples = timing.sample(
         lambda: histogram.observe(0.0042), rounds, micro_iters
     )
     benchmarks.append(timing.entry("obs_histogram_observe", samples))
@@ -177,16 +160,12 @@ def run(quick: bool, output_dir: Path) -> Path:
     obs_log.configure(mode="off")
 
     # -- aggregation path: worker flush + 16-cell merge --------------------
-    benchmarks.extend(_aggregation_entries(rounds, quick))
+    benchmarks.extend(_aggregation_entries(rounds))
 
-    report = {"suite": "obs", "quick": bool(quick), "benchmarks": benchmarks}
-    output_dir.mkdir(parents=True, exist_ok=True)
-    out_path = output_dir / "BENCH_obs.json"
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    return out_path
+    return {"benchmarks": benchmarks}
 
 
-def _aggregation_entries(rounds: int, quick: bool):
+def _aggregation_entries(rounds: int):
     """Cost of the cross-process path: one worker flush, one grid merge.
 
     The flush entry is what every pool worker pays once per cell batch
@@ -203,7 +182,6 @@ def _aggregation_entries(rounds: int, quick: bool):
     from repro.obs import events as obs_events
     from repro.obs import metrics as obs_metrics
 
-    del quick  # entry names must match the committed baseline's
     spans_per_flush = 32
     entries = []
 
@@ -234,7 +212,7 @@ def _aggregation_entries(rounds: int, quick: bool):
         )
         spans = make_spans(spans_per_flush, pid=1000)
         registry = make_registry()
-        samples = _time_rounds(
+        samples = timing.sample(
             lambda: obs_context._flush(ctx, "worker", spans, registry),
             rounds,
             5,
@@ -276,7 +254,7 @@ def _aggregation_entries(rounds: int, quick: bool):
                 "cell.done", run_dir=merge_dir, job_id=f"cell{i}",
                 duration_s=0.9,
             )
-        samples = _time_rounds(
+        samples = timing.sample(
             lambda: obs_agg.merge_run(merge_dir), rounds, 5
         )
         entries.append(timing.entry("obs_merge_16cell_grid", samples))
@@ -285,24 +263,5 @@ def _aggregation_entries(rounds: int, quick: bool):
     return entries
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="few rounds/iterations (fast, noisy)"
-    )
-    parser.add_argument("--output-dir", type=Path, default=BENCH_DIR)
-    args = parser.parse_args(argv)
-    out_path = run(args.quick, args.output_dir)
-    report = json.loads(out_path.read_text())
-    for entry in report["benchmarks"]:
-        scale, unit = (1e3, "ms") if entry["mean_s"] > 1e-4 else (1e6, "us")
-        print(
-            f"{entry['name']}: mean {entry['mean_s'] * scale:.3f} {unit} "
-            f"over {entry['rounds']} rounds"
-        )
-    print(f"wrote {out_path}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(timing.main("obs", run))

@@ -21,24 +21,15 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import statistics
-import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
-BENCH_DIR = Path(__file__).resolve().parent
-sys.path.insert(0, str(BENCH_DIR.parent / "src"))
-
-from repro.nn import quantize_model  # noqa: E402
-from repro.nn.architectures import cnn_ii, mlp_iii  # noqa: E402
-from repro.nn.backend import qkernel  # noqa: E402
-from repro.serve import MicroBatchEngine  # noqa: E402
-
-import timing  # noqa: E402
+import timing
+from repro.nn import quantize_model
+from repro.nn.architectures import cnn_ii, mlp_iii
+from repro.nn.backend import qkernel
+from repro.serve import MicroBatchEngine
 
 INPUT_BITS = 128
 
@@ -64,39 +55,6 @@ def _variants(name):
     return {"f32": model, "int8": quantize_model(model)}
 
 
-#: Interleaved measurement passes per (model, rows) cell.
-PASSES = 4
-
-
-def _time_group(fns, rounds, warmup):
-    """Block-interleaved latencies per label, trimmed to the fastest half.
-
-    ``fns`` maps label -> thunk.  Each label runs its rounds in
-    consecutive *blocks* (a serving process runs one variant repeatedly,
-    so warm-cache consecutive calls are the deployment-realistic shape —
-    fine-grained interleaving would evict the small int8 weight stream
-    that is the whole point of the scheme), but the blocks of all labels
-    are interleaved across :data:`PASSES` passes so a slow patch on this
-    shared box lands on every label instead of biasing whichever scheme
-    happened to run through it.  The slowest half of each label's rounds
-    is dropped: the tail measures the neighbours, not the code.
-    """
-    per_block = max(1, rounds // PASSES)
-    samples = {label: [] for label in fns}
-    for pass_index in range(PASSES):
-        for label, fn in fns.items():
-            for _ in range(warmup if pass_index == 0 else 1):
-                fn()
-            for _ in range(per_block):
-                start = time.perf_counter()
-                fn()
-                samples[label].append(time.perf_counter() - start)
-    for label in samples:
-        samples[label].sort()
-        samples[label] = samples[label][: max(1, len(samples[label]) // 2)]
-    return samples
-
-
 def _cell_entries(prefix, rows, samples):
     """One entry per scheme of a timed cell; int8 carries its speedup."""
     f32_mean = statistics.fmean(samples["f32"])
@@ -119,7 +77,6 @@ def run(quick: bool) -> dict:
     # committed full-mode baseline so check_regression compares them.
     single_rounds = 8 if quick else 60
     batch_rounds = 4 if quick else 14
-    warmup = 1 if quick else 3
     batch_rows = 512
     serve_rows = (32, 256)
 
@@ -136,7 +93,7 @@ def run(quick: bool) -> dict:
                 )
                 for scheme in SCHEMES
             }
-            samples = _time_group(fns, rounds, warmup)
+            samples = timing.sample_interleaved(fns, rounds)
             entries += _cell_entries(f"predict_{model_name}", rows, samples)
 
     # The serving path: engine submit -> coalesce -> fused predict, the
@@ -155,43 +112,17 @@ def run(quick: bool) -> dict:
                 scheme: (lambda engine=engine: engine.classify(x))
                 for scheme, engine in engines.items()
             }
-            samples = _time_group(fns, max(2, batch_rounds), warmup)
+            samples = timing.sample_interleaved(fns, batch_rounds)
         finally:
             for engine in engines.values():
                 engine.stop()
         entries += _cell_entries("serve_mlp_iii", rows, samples)
 
     return {
-        "suite": "quant",
-        "quick": bool(quick),
         "quant_kernel": qkernel.kernel_in_use(),
         "benchmarks": entries,
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="few-round smoke timings"
-    )
-    parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=BENCH_DIR,
-        help="where to write BENCH_quant.json (default: benchmarks/)",
-    )
-    args = parser.parse_args(argv)
-    report = run(args.quick)
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    out_path = args.output_dir / "BENCH_quant.json"
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    for entry in report["benchmarks"]:
-        speedup = entry.get("speedup_vs_f32")
-        note = f"  ({speedup:.2f}x vs f32)" if speedup else ""
-        print(f"{entry['name']}: {entry['mean_s'] * 1e3:.3f} ms{note}")
-    print(f"wrote {out_path}")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(timing.main("quant", run))

@@ -17,26 +17,13 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import statistics
-import sys
-from pathlib import Path
 
 import numpy as np
 
-BENCH_DIR = Path(__file__).resolve().parent
-sys.path.insert(0, str(BENCH_DIR.parent / "src"))
-
-from repro.obs import log as obs_log  # noqa: E402
-from repro.search import (  # noqa: E402
-    BiasScoringOracle,
-    SearchConfig,
-    evolve_differences,
-)
-from repro.search.config import get_scenario_builder  # noqa: E402
-
-import timing  # noqa: E402
+import timing
+from repro.search import BiasScoringOracle, SearchConfig, evolve_differences
+from repro.search.config import get_scenario_builder
 
 ORACLE_SAMPLES = 2048
 POPULATION = 64
@@ -69,22 +56,22 @@ def run(quick: bool) -> dict:
     # committed full-mode baseline so check_regression compares them.
     score_rounds = 4 if quick else 30
     search_rounds = 2 if quick else 8
-    warmup = 1 if quick else 2
+    calls = timing.WARMUP + score_rounds
     rng = np.random.default_rng(0x5EA7)
     entries = []
 
     # single-candidate score latency (fresh oracle each round: the
     # memo cache would otherwise turn rounds 2+ into dict lookups)
-    oracles = iter([_fresh_oracle(seed) for seed in range(score_rounds + warmup)])
+    oracles = iter([_fresh_oracle(seed) for seed in range(calls)])
     delta = np.array([0x00, 0x40], dtype=np.uint8)
-    samples = timing.time_calls(lambda: next(oracles).score(delta), score_rounds, warmup)
+    samples = timing.sample(lambda: next(oracles).score(delta), score_rounds)
     entries.append(timing.entry("oracle_score_single", samples, samples_per_score=ORACLE_SAMPLES))
 
     # batched population score + throughput
     population = _population(rng)
-    oracles = iter([_fresh_oracle(seed) for seed in range(score_rounds + warmup)])
-    samples = timing.time_calls(
-        lambda: next(oracles).score_batch(population), score_rounds, warmup
+    oracles = iter([_fresh_oracle(seed) for seed in range(calls)])
+    samples = timing.sample(
+        lambda: next(oracles).score_batch(population), score_rounds
     )
     mean = statistics.fmean(samples)
     entries.append(
@@ -105,11 +92,10 @@ def run(quick: bool) -> dict:
         top_k=4,
         n_samples=ORACLE_SAMPLES,
     )
-    seeds = iter(range(search_rounds + warmup))
-    samples = timing.time_calls(
+    seeds = iter(range(timing.WARMUP + search_rounds))
+    samples = timing.sample(
         lambda: evolve_differences(_fresh_oracle(next(seeds)), config),
         search_rounds,
-        warmup,
     )
     entries.append(
         timing.entry(
@@ -121,37 +107,10 @@ def run(quick: bool) -> dict:
     )
 
     return {
-        "suite": "search",
-        "quick": bool(quick),
         "oracle_samples": ORACLE_SAMPLES,
         "benchmarks": entries,
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="few-round smoke timings"
-    )
-    parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=BENCH_DIR,
-        help="where to write BENCH_search.json (default: benchmarks/)",
-    )
-    args = parser.parse_args(argv)
-    obs_log.configure(level="warning")  # timings, not heartbeats
-    report = run(args.quick)
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    out_path = args.output_dir / "BENCH_search.json"
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    for entry in report["benchmarks"]:
-        rate = entry.get("scores_per_second")
-        note = f"  ({rate:.0f} scores/s)" if rate else ""
-        print(f"{entry['name']}: {entry['mean_s'] * 1e3:.3f} ms{note}")
-    print(f"wrote {out_path}")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(timing.main("search", run))

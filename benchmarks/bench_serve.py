@@ -1,17 +1,15 @@
 """Load harness for the serving subsystem: writes ``BENCH_serve.json``.
 
-Unlike the pytest-benchmark substrate suites, serving performance is a
-concurrency property — p50/p95/p99 latency under parallel clients,
-sustained throughput, and how well the engine coalesces micro-batches.
-This harness therefore drives a real :class:`ServeServer` on a loopback
-port (plus the engine directly, to isolate HTTP overhead) with a thread
-pool of closed-loop clients, times the decode of one 512-row
-online-phase request body on its own, and distils the measurements
-into the same ``BENCH_<suite>.json`` schema as the other suites (``name`` /
-``mean_s`` / ``stddev_s`` / ``rounds``), with serving extras on each
-entry (``p50_s``/``p95_s``/``p99_s``, ``throughput_rps``, batch-size
-histogram, max queue depth).  ``check_regression.py`` gates on the mean
-latency exactly as it does for the other suites.
+Serving performance is a concurrency property -- p50/p95/p99 latency
+under parallel clients, sustained throughput, and how well the engine
+coalesces micro-batches.  This harness therefore drives a real
+:class:`ServeServer` on a loopback port (plus the engine directly, to
+isolate HTTP overhead) with closed-loop client threads
+(:func:`timing.sample_clients`), and times the decode of one 512-row
+online-phase request body on its own.  Each row carries serving extras
+on the shared schema (``throughput_rps``, and for the classify rows the
+batch-size histogram and max queue depth); ``check_regression.py``
+gates on the mean latency exactly as it does for the other suites.
 
 Usage::
 
@@ -20,73 +18,28 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import json
-import statistics
 import tempfile
-import threading
-import time
-from pathlib import Path
 
 import numpy as np
 
-BENCH_DIR = Path(__file__).resolve().parent
+import timing
 
 
-def _drive(worker, requests: int, threads: int):
-    """Run ``requests`` closed-loop calls across ``threads`` clients.
-
-    Returns ``(per_request_latencies_s, wall_s)``.
-    """
-    latencies = []
-    lock = threading.Lock()
-    counter = iter(range(requests))
-
-    def loop():
-        while True:
-            with lock:
-                index = next(counter, None)
-            if index is None:
-                return
-            start = time.perf_counter()
-            worker(index)
-            elapsed = time.perf_counter() - start
-            with lock:
-                latencies.append(elapsed)
-
-    pool = [threading.Thread(target=loop) for _ in range(threads)]
-    wall_start = time.perf_counter()
-    for thread in pool:
-        thread.start()
-    for thread in pool:
-        thread.join()
-    wall = time.perf_counter() - wall_start
-    return latencies, wall
+def _closed_loop_row(name, worker, requests, threads, metrics=None):
+    """Drive ``worker`` closed-loop and return its row; ``metrics`` (a
+    :class:`ServeMetrics`) adds the batch and queue extras."""
+    samples, wall = timing.sample_clients(worker, requests, threads)
+    extras = {"throughput_rps": len(samples) / wall}
+    if metrics is not None:
+        snapshot = metrics.snapshot()
+        extras["batch_size_histogram"] = snapshot["batches"]["size_histogram"]
+        extras["mean_batch_size"] = snapshot["batches"]["mean_size"]
+        extras["max_queue_depth"] = snapshot["queue"]["max_depth"]
+    return timing.entry(name, samples, **extras)
 
 
-def _entry(name: str, latencies, wall_s: float, metrics_snapshot=None) -> dict:
-    from repro.obs.metrics import quantile
-
-    entry = {
-        "name": name,
-        "mean_s": statistics.fmean(latencies),
-        "stddev_s": statistics.pstdev(latencies),
-        "rounds": len(latencies),
-        "p50_s": quantile(latencies, 50.0),
-        "p95_s": quantile(latencies, 95.0),
-        "p99_s": quantile(latencies, 99.0),
-        "throughput_rps": len(latencies) / wall_s,
-    }
-    if metrics_snapshot is not None:
-        entry["batch_size_histogram"] = metrics_snapshot["batches"][
-            "size_histogram"
-        ]
-        entry["mean_batch_size"] = metrics_snapshot["batches"]["mean_size"]
-        entry["max_queue_depth"] = metrics_snapshot["queue"]["max_depth"]
-    return entry
-
-
-def run(quick: bool, output_dir: Path) -> Path:
+def run(quick: bool) -> dict:
     from repro import GimliHashScenario
     from repro.nn.architectures import build_mlp
     from repro.serve import (
@@ -125,28 +78,30 @@ def run(quick: bool, output_dir: Path) -> Path:
             0, 2, (decode_rows, scenario.feature_bits)).tolist(),
         "labels": rng.integers(0, 2, decode_rows).tolist(),
     }).encode()
-    decode_body(raw)  # loads the kernel outside the timed calls
-    latencies, wall = _drive(lambda i: decode_body(raw), requests, 1)
     benchmarks.append(
-        _entry(f"serve_decode_body[rows={decode_rows}]", latencies, wall)
+        _closed_loop_row(
+            f"serve_decode_body[rows={decode_rows}]",
+            lambda i: decode_body(raw),
+            requests,
+            1,
+        )
     )
 
     # 1. Engine direct: micro-batching + fused predict, no HTTP.
     engine_metrics = ServeMetrics()
     engine = MicroBatchEngine(model, metrics=engine_metrics)
-    _drive(lambda i: engine.classify(queries[i]), min(requests, 30), threads)
-    latencies, wall = _drive(
-        lambda i: engine.classify(queries[i]), requests, threads
-    )
-    engine.stop()
-    benchmarks.append(
-        _entry(
-            f"serve_engine_classify[rows={rows},threads={threads}]",
-            latencies,
-            wall,
-            engine_metrics.snapshot(),
+    try:
+        benchmarks.append(
+            _closed_loop_row(
+                f"serve_engine_classify[rows={rows},threads={threads}]",
+                lambda i: engine.classify(queries[i]),
+                requests,
+                threads,
+                engine_metrics,
+            )
         )
-    )
+    finally:
+        engine.stop()
 
     with tempfile.TemporaryDirectory() as registry_root:
         registry = ModelRegistry(registry_root)
@@ -166,20 +121,13 @@ def run(quick: bool, output_dir: Path) -> Path:
 
             # 2. HTTP classify end to end.
             payloads = [q.tolist() for q in queries]
-            _drive(
-                lambda i: client.classify("bench", payloads[i]),
-                min(requests, 30),
-                threads,
-            )
-            latencies, wall = _drive(
-                lambda i: client.classify("bench", payloads[i]), requests, threads
-            )
             benchmarks.append(
-                _entry(
+                _closed_loop_row(
                     f"serve_http_classify[rows={rows},threads={threads}]",
-                    latencies,
-                    wall,
-                    server.service.metrics.snapshot(),
+                    lambda i: client.classify("bench", payloads[i]),
+                    requests,
+                    threads,
+                    server.service.metrics,
                 )
             )
 
@@ -189,47 +137,19 @@ def run(quick: bool, output_dir: Path) -> Path:
             )
             session = state["session"]
             labels = [[0] * rows for _ in range(requests)]
-            latencies, wall = _drive(
-                lambda i: client.distinguish_batch(
-                    "bench", payloads[i], labels[i], session=session
-                ),
-                requests,
-                threads,
-            )
             benchmarks.append(
-                _entry(
+                _closed_loop_row(
                     f"serve_http_distinguish[rows={rows},threads={threads}]",
-                    latencies,
-                    wall,
+                    lambda i: client.distinguish_batch(
+                        "bench", payloads[i], labels[i], session=session
+                    ),
+                    requests,
+                    threads,
                 )
             )
 
-    report = {"suite": "serve", "quick": bool(quick), "benchmarks": benchmarks}
-    output_dir.mkdir(parents=True, exist_ok=True)
-    out_path = output_dir / "BENCH_serve.json"
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    return out_path
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true", help="small request counts (fast, noisy)"
-    )
-    parser.add_argument("--output-dir", type=Path, default=BENCH_DIR)
-    args = parser.parse_args(argv)
-    out_path = run(args.quick, args.output_dir)
-    report = json.loads(out_path.read_text())
-    for entry in report["benchmarks"]:
-        print(
-            f"{entry['name']}: mean {entry['mean_s'] * 1e3:.2f} ms, "
-            f"p95 {entry['p95_s'] * 1e3:.2f} ms, "
-            f"p99 {entry['p99_s'] * 1e3:.2f} ms, "
-            f"{entry['throughput_rps']:.0f} req/s"
-        )
-    print(f"wrote {out_path}")
-    return 0
+    return {"benchmarks": benchmarks}
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(timing.main("serve", run))

@@ -10,8 +10,6 @@ Reproduced shapes:
   SPECK-32/64 with a 34 GB DDT precomputation.
 """
 
-from conftest import run_once
-
 from repro.experiments.report import format_table
 from repro.experiments.speck_baseline import (
     run_speck_baseline,
@@ -19,8 +17,8 @@ from repro.experiments.speck_baseline import (
 )
 
 
-def test_speck_real_vs_random(benchmark):
-    result = run_once(benchmark, run_speck_baseline, rounds=(3, 4, 5, 6), rng=2)
+def test_speck_real_vs_random():
+    result = run_speck_baseline(rounds=(3, 4, 5, 6), rng=2)
     rows = [[row["rounds"], row["measured"]] for row in result["rows"]]
     print()
     print(format_table(
@@ -34,8 +32,8 @@ def test_speck_real_vs_random(benchmark):
     assert by_round[6] < 0.75
 
 
-def test_toyspeck_ml_vs_allinone(benchmark):
-    result = run_once(benchmark, run_toyspeck_allinone, rounds=(2, 3, 4), rng=3)
+def test_toyspeck_ml_vs_allinone():
+    result = run_toyspeck_allinone(rounds=(2, 3, 4), rng=3)
     rows = [
         [row["rounds"], row["bayes_accuracy"], row["measured"],
          row["advantage_vs_random"]]

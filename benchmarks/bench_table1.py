@@ -6,17 +6,13 @@ beam-search upper bound at 4 rounds; designers' SAT/SMT weights are
 carried as reference for 5-8 rounds (see DESIGN.md's substitution note).
 """
 
-from conftest import run_once
-
 from repro.diffcrypt.trail import GIMLI_OPTIMAL_WEIGHTS
 from repro.experiments.report import format_table
 from repro.experiments.table1 import run_table1
 
 
-def test_table1(benchmark):
-    result = run_once(
-        benchmark, run_table1, max_search_rounds=4, verify_samples=1 << 12, rng=1
-    )
+def test_table1():
+    result = run_table1(max_search_rounds=4, verify_samples=1 << 12, rng=1)
     rows = [
         [row["rounds"], row["paper"],
          "-" if row["measured"] is None else row["measured"],

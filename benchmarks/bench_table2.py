@@ -10,14 +10,12 @@ Set ``REPRO_SCALE=1.0`` for the paper's full data budget (minutes of
 CPU time per row).
 """
 
-from conftest import run_once
-
 from repro.experiments.report import format_table
 from repro.experiments.table2 import run_table2
 
 
-def test_table2(benchmark):
-    result = run_once(benchmark, run_table2, rounds=(6, 7, 8), rng=7)
+def test_table2():
+    result = run_table2(rounds=(6, 7, 8), rng=7)
     rows = [
         [row["target"], row["rounds"], row["paper"], row["measured"],
          row.get("cipher_verdict", "-"), row.get("random_verdict", "-")]

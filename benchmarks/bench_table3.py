@@ -17,8 +17,6 @@ paper does not specify its CNN topology, so exact reproduction of its
 failure mode is not possible).
 """
 
-from conftest import run_once
-
 from repro.experiments.report import format_table
 from repro.experiments.table3 import run_table3
 
@@ -43,8 +41,8 @@ def _print_rows(result):
     ))
 
 
-def test_table3_all_networks(benchmark):
-    result = run_once(benchmark, run_table3, total_rounds=6, rng=5)
+def test_table3_all_networks():
+    result = run_table3(total_rounds=6, rng=5)
     _print_rows(result)
     by_name = {row["network"]: row for row in result["rows"]}
 
@@ -69,10 +67,8 @@ def test_table3_all_networks(benchmark):
     assert lstm_time > 3 * mlp_time
 
 
-def test_table3_8round_headline(benchmark):
-    result = run_once(
-        benchmark,
-        run_table3,
+def test_table3_8round_headline():
+    result = run_table3(
         networks=("MLP II", "MLP III"),
         total_rounds=8,
         num_samples=1 << 17,

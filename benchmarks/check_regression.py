@@ -1,48 +1,47 @@
-"""Gate benchmark regressions against the committed baselines.
+"""Gate fresh benchmark reports against the committed baselines.
 
-Re-runs the substrate benchmark suites (via ``run_benchmarks.run_suite``)
-into a temporary directory and compares every benchmark that appears in
-both the fresh run and the committed ``benchmarks/BENCH_<suite>.json``.
-A benchmark whose fresh mean exceeds ``threshold`` times its committed
-mean (default 2x — far outside the few-percent run-to-run noise of a
-shared machine, so only a real regression trips it) fails the check and
-the script exits non-zero.
+Compares every ``BENCH_<suite>.json`` in a directory that
+``run_benchmarks.py --output-dir DIR`` wrote against the committed
+``benchmarks/BENCH_<suite>.json``, row by row on matching names.  A
+row whose fresh mean exceeds ``threshold`` times its committed mean
+(default 2x) fails the check and the script exits non-zero.  Measuring
+and comparing are separate steps: this script never times anything, and
+a full ``run_benchmarks.py`` into ``benchmarks/`` is what rewrites the
+baselines.
 
-Benchmarks present on only one side are reported but never fail the
-check: adding a benchmark must not require regenerating every baseline
-in the same commit, and renames surface visibly instead of silently
-passing.
+Rows present on only one side are reported but never fail the check:
+adding a benchmark must not require regenerating every baseline in the
+same commit, and renames surface visibly instead of silently passing.
+Every compared row is reported with its percentage delta against the
+baseline (``(fresh / baseline - 1) * 100``), so a change's effect is
+readable per row even when nothing trips the gate.
 
-Every compared benchmark is reported with its percentage delta against
-the baseline (``(fresh / baseline - 1) * 100``), so a PR's perf impact
-is readable per metric even when nothing trips the gate.  After an
-intentional perf change, ``--update-baselines`` re-measures and
-rewrites the committed artefacts in place instead of gating.
+Why means at 2x, and not the per-layer share deltas that
+``e2ebench/ledger.py --compare`` reports: these rows time components in
+isolation (one kernel, one train step, one request path) on a shared
+machine, where run-to-run noise is tens of percent, so the gate's job is
+to catch order-of-magnitude regressions -- a compiled kernel silently
+falling back to numpy, a quadratic in a request path.  A component row
+has no total to take a share of.  End-to-end and per-layer deltas, with
+their bounds and paired runs against the parent, belong to e2ebench.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/check_regression.py          # make bench-check
-    PYTHONPATH=src python benchmarks/check_regression.py --quick  # noisy smoke mode
-    PYTHONPATH=src python benchmarks/check_regression.py --update-baselines
+    PYTHONPATH=src python benchmarks/run_benchmarks.py --output-dir DIR
+    PYTHONPATH=src python benchmarks/check_regression.py DIR [--threshold 2.0]
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import sys
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-BENCH_DIR = Path(__file__).resolve().parent
+import timing
 
-_spec = importlib.util.spec_from_file_location(
-    "run_benchmarks", BENCH_DIR / "run_benchmarks.py"
-)
-run_benchmarks = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(run_benchmarks)
+BENCH_DIR = Path(__file__).resolve().parent
 
 DEFAULT_THRESHOLD = 2.0
 
@@ -83,67 +82,45 @@ def compare_reports(
     return rows, unmatched
 
 
-def check_suite(
-    suite: str, quick: bool, threshold: float, update: bool = False
-) -> bool:
-    """Run one suite and compare it against its committed baseline.
-
-    With ``update`` the fresh measurements *replace* the committed
-    baseline after the comparison is printed (the comparison itself
-    never fails the check in that mode: the new numbers are the point).
-    """
-    committed_path = BENCH_DIR / f"BENCH_{suite}.json"
-    with tempfile.TemporaryDirectory() as tmp:
-        if not committed_path.exists():
-            if not update:
-                print(
-                    f"[{suite}] no committed baseline at "
-                    f"{committed_path.name}; skipping"
-                )
-                return True
-            fresh_path = run_benchmarks.run_suite(
-                suite, run_benchmarks.ALL_SUITES[suite], quick, Path(tmp)
-            )
-            run_benchmarks.validate_bench_file(fresh_path)
-            committed_path.write_text(fresh_path.read_text())
-            print(f"[{suite}] wrote new baseline {committed_path.name}")
-            return True
-        baseline = json.loads(committed_path.read_text())
-        fresh_path = run_benchmarks.run_suite(
-            suite, run_benchmarks.ALL_SUITES[suite], quick, Path(tmp)
-        )
-        run_benchmarks.validate_bench_file(fresh_path)
-        fresh = json.loads(fresh_path.read_text())
-        if update:
-            committed_path.write_text(fresh_path.read_text())
+def check_report(fresh_path: Path, threshold: float) -> bool:
+    """Compare one fresh report against its committed baseline."""
+    timing.validate_bench_file(fresh_path)
+    fresh = json.loads(fresh_path.read_text())
+    suite = fresh["suite"]
+    committed_path = BENCH_DIR / fresh_path.name
+    if not committed_path.exists():
+        print(f"[{suite}] no committed baseline {committed_path.name}; skipping")
+        return True
+    baseline = json.loads(committed_path.read_text())
     if baseline.get("quick"):
         print(
             f"[{suite}] warning: committed baseline was recorded in --quick "
             "mode; timings are noisy"
         )
     rows, unmatched = compare_reports(baseline, fresh, threshold)
-    ok = True
     for row in rows:
         flag = "REGRESSED" if row["regressed"] else "ok"
         print(
-            f"[{suite}] {row['name']}: baseline {row['baseline_s'] * 1e3:.2f} ms, "
-            f"fresh {row['fresh_s'] * 1e3:.2f} ms "
+            f"[{suite}] {row['name']}: baseline {row['baseline_s'] * 1e3:.3f} ms, "
+            f"fresh {row['fresh_s'] * 1e3:.3f} ms "
             f"({row['delta_pct']:+.1f}%) {flag}"
         )
-        ok = ok and not row["regressed"]
     for name in unmatched:
         print(f"[{suite}] {name}: present in only one report (not compared)")
-    if update:
-        print(f"[{suite}] baseline {committed_path.name} updated")
-        return True
     if not rows:
         print(f"[{suite}] error: no benchmark names in common with the baseline")
         return False
-    return ok
+    return not any(row["regressed"] for row in rows)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "fresh_dir",
+        type=Path,
+        help="directory of fresh BENCH_*.json reports (run_benchmarks.py "
+        "--output-dir)",
+    )
     parser.add_argument(
         "--threshold",
         type=float,
@@ -151,40 +128,18 @@ def main(argv=None) -> int:
         help=f"fail when fresh mean > threshold * baseline mean "
         f"(default {DEFAULT_THRESHOLD})",
     )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="measure in one-round smoke mode (fast but noisy; pair with "
-        "a generous --threshold)",
-    )
-    parser.add_argument(
-        "--suite",
-        choices=sorted(run_benchmarks.ALL_SUITES),
-        action="append",
-        help="check only this suite (repeatable; default: all)",
-    )
-    parser.add_argument(
-        "--update-baselines",
-        action="store_true",
-        help="replace the committed BENCH_<suite>.json files with the "
-        "fresh measurements instead of gating on them",
-    )
     args = parser.parse_args(argv)
-    suites = args.suite or sorted(run_benchmarks.ALL_SUITES)
+    fresh_paths = sorted(args.fresh_dir.glob("BENCH_*.json"))
+    if not fresh_paths:
+        print(f"error: no BENCH_*.json reports in {args.fresh_dir}")
+        return 1
     failed = [
-        suite
-        for suite in suites
-        if not check_suite(
-            suite, args.quick, args.threshold, update=args.update_baselines
-        )
+        path.name for path in fresh_paths if not check_report(path, args.threshold)
     ]
     if failed:
         print(f"regressions detected in: {', '.join(failed)}")
         return 1
-    if args.update_baselines:
-        print("baselines updated")
-    else:
-        print("no benchmark regressions")
+    print("no benchmark regressions")
     return 0
 
 

@@ -1,159 +1,54 @@
 """Run the engineering benchmark suites and write machine-readable results.
 
-Executes the substrate benchmarks (``bench_nn_ops.py`` and
-``bench_ciphers.py``) under pytest-benchmark and distils each suite's
-raw report into a small committed artefact::
-
-    benchmarks/BENCH_nn_ops.json
-    benchmarks/BENCH_ciphers.json
-
-Each artefact has the shape::
+Runs each ``bench_<suite>.py`` script in its own process; each writes
+and validates ``<output-dir>/BENCH_<suite>.json`` through
+``timing.main``.  Every artefact has the shape::
 
     {
       "suite": "nn_ops",
       "quick": false,
       "benchmarks": [
-        {"name": "...", "mean_s": 0.0123, "stddev_s": 0.0004, "rounds": 7},
+        {"name": "...", "mean_s": 0.0123, "stddev_s": 0.0004, "rounds": 7,
+         "p50_s": ..., "p95_s": ..., "p99_s": ...},
         ...
       ]
     }
 
-``--quick`` caps rounds/timing for CI smoke runs (``make bench``); the
-timings are then noisy but the files still validate.  The script exits
-non-zero if a suite fails or a written artefact is malformed, so a
-broken benchmark can't silently commit garbage baselines.
+The default output directory is ``benchmarks/`` itself: a full run
+(``make bench-full``) rewrites the committed baselines.  ``--quick``
+runs few rounds per row for smoke runs; the timings are then noisy but
+the files still validate.  The script exits non-zero if a suite fails
+or writes a malformed artefact, so a broken benchmark can't silently
+commit garbage baselines.  ``check_regression.py`` compares a written
+directory against the committed baselines.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
 REPO_ROOT = BENCH_DIR.parent
 
 SUITES = {
-    "nn_ops": BENCH_DIR / "bench_nn_ops.py",
-    "ciphers": BENCH_DIR / "bench_ciphers.py",
+    suite: BENCH_DIR / f"bench_{suite}.py"
+    for suite in ("nn_ops", "ciphers", "serve", "obs", "quant", "search", "jobs")
 }
 
-#: Suites that are standalone scripts (not pytest-benchmark files):
-#: invoked as ``python <script> --output-dir DIR [--quick]`` and expected
-#: to write a schema-compatible ``BENCH_<suite>.json`` themselves.
-SCRIPT_SUITES = {
-    "serve": BENCH_DIR / "bench_serve.py",
-    "obs": BENCH_DIR / "bench_obs.py",
-    "quant": BENCH_DIR / "bench_quant.py",
-    "search": BENCH_DIR / "bench_search.py",
-    "jobs": BENCH_DIR / "bench_jobs.py",
-}
 
-ALL_SUITES = {**SUITES, **SCRIPT_SUITES}
-
-_REQUIRED_ENTRY_KEYS = ("name", "mean_s", "stddev_s", "rounds")
-
-
-def _run_script_suite(suite: str, source: Path, quick: bool, output_dir: Path) -> Path:
-    command = [sys.executable, str(source), "--output-dir", str(output_dir)]
+def run_suite(suite: str, quick: bool, output_dir: Path) -> None:
+    """Run one suite's script, writing ``output_dir/BENCH_<suite>.json``."""
+    command = [sys.executable, str(SUITES[suite]), "--output-dir", str(output_dir)]
     if quick:
         command.append("--quick")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    result = subprocess.run(command, cwd=REPO_ROOT, env=env)
-    if result.returncode != 0:
+    if subprocess.run(command, cwd=REPO_ROOT, env=env).returncode != 0:
         raise RuntimeError(f"benchmark suite {suite!r} failed")
-    return output_dir / f"BENCH_{suite}.json"
-
-
-def run_suite(suite: str, source: Path, quick: bool, output_dir: Path) -> Path:
-    """Run one benchmark file and write its ``BENCH_<suite>.json``."""
-    if suite in SCRIPT_SUITES:
-        return _run_script_suite(suite, source, quick, output_dir)
-    with tempfile.TemporaryDirectory() as tmp:
-        raw_path = Path(tmp) / "raw.json"
-        command = [
-            sys.executable,
-            "-m",
-            "pytest",
-            str(source),
-            "-q",
-            "--benchmark-only",
-            f"--benchmark-json={raw_path}",
-        ]
-        if quick:
-            command += [
-                "--benchmark-min-rounds=1",
-                "--benchmark-max-time=0.05",
-                "--benchmark-warmup=off",
-            ]
-        else:
-            # Baseline mode: warm every benchmark before timing (first
-            # iterations pay scratch-buffer allocation and BLAS thread
-            # spin-up) and keep the collector out of the timed region.
-            command += [
-                "--benchmark-warmup=on",
-                "--benchmark-warmup-iterations=2",
-                "--benchmark-disable-gc",
-            ]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        result = subprocess.run(command, cwd=REPO_ROOT, env=env)
-        if result.returncode != 0:
-            raise RuntimeError(f"benchmark suite {suite!r} failed")
-        raw = json.loads(raw_path.read_text())
-    report = {
-        "suite": suite,
-        "quick": bool(quick),
-        "benchmarks": [
-            {
-                "name": entry["name"],
-                "mean_s": entry["stats"]["mean"],
-                "stddev_s": entry["stats"]["stddev"],
-                "rounds": entry["stats"]["rounds"],
-            }
-            for entry in raw["benchmarks"]
-        ],
-    }
-    out_path = output_dir / f"BENCH_{suite}.json"
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
-    return out_path
-
-
-def validate_bench_file(path: Path) -> None:
-    """Raise ``ValueError`` if ``path`` is not a well-formed BENCH artefact."""
-    try:
-        report = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path.name}: unreadable or invalid JSON ({exc})")
-    if not isinstance(report, dict):
-        raise ValueError(f"{path.name}: top level must be an object")
-    for key in ("suite", "quick", "benchmarks"):
-        if key not in report:
-            raise ValueError(f"{path.name}: missing key {key!r}")
-    entries = report["benchmarks"]
-    if not isinstance(entries, list) or not entries:
-        raise ValueError(f"{path.name}: 'benchmarks' must be a non-empty list")
-    for entry in entries:
-        for key in _REQUIRED_ENTRY_KEYS:
-            if key not in entry:
-                raise ValueError(
-                    f"{path.name}: entry {entry.get('name', '?')!r} missing {key!r}"
-                )
-        if not entry["name"]:
-            raise ValueError(f"{path.name}: entry with empty name")
-        if not (float(entry["mean_s"]) > 0.0):
-            raise ValueError(
-                f"{path.name}: {entry['name']!r} has non-positive mean_s"
-            )
-        if float(entry["stddev_s"]) < 0.0 or int(entry["rounds"]) < 1:
-            raise ValueError(
-                f"{path.name}: {entry['name']!r} has malformed stats"
-            )
 
 
 def main(argv=None) -> int:
@@ -161,11 +56,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="one-round smoke timings (fast, noisy)",
+        help="few rounds per row (fast, noisy)",
     )
     parser.add_argument(
         "--suite",
-        choices=sorted(ALL_SUITES),
+        choices=sorted(SUITES),
         action="append",
         help="run only this suite (repeatable; default: all)",
     )
@@ -176,16 +71,8 @@ def main(argv=None) -> int:
         help="where to write BENCH_*.json (default: benchmarks/)",
     )
     args = parser.parse_args(argv)
-    suites = args.suite or sorted(ALL_SUITES)
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for suite in suites:
-        written.append(
-            run_suite(suite, ALL_SUITES[suite], args.quick, args.output_dir)
-        )
-    for path in written:
-        validate_bench_file(path)
-        print(f"wrote {path}")
+    for suite in args.suite or sorted(SUITES):
+        run_suite(suite, args.quick, args.output_dir)
     return 0
 
 

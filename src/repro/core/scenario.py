@@ -27,10 +27,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ciphers.gimli import GimliPermutation
+from repro.ciphers.gimli import GIMLI_ROUNDS, GimliPermutation
 from repro.ciphers.gimli_cipher import gimli_aead_reduced_c0_batch
 from repro.ciphers.gimli_hash import RATE_BYTES, absorb_final_block_batch
 from repro.ciphers.speck import encrypt_batch as speck_encrypt_batch
+from repro.ciphers.toyspeck import FULL_ROUNDS as TOYSPECK_ROUNDS
 from repro.ciphers.toyspeck import encrypt_batch as toyspeck_encrypt_batch
 from repro.core.oracle import CipherOracle, Oracle, RandomOracle
 from repro.errors import DistinguisherError
@@ -236,6 +237,10 @@ class GimliHashScenario(DifferentialScenario):
         block_len: int = 15,
         masks: Optional[np.ndarray] = None,
     ):
+        if not 0 <= rounds <= GIMLI_ROUNDS:
+            raise DistinguisherError(
+                f"rounds must be in [0, {GIMLI_ROUNDS}], got {rounds}"
+            )
         if not 0 < block_len < RATE_BYTES:
             raise DistinguisherError(
                 f"block_len must be in (0, {RATE_BYTES}), got {block_len}"
@@ -302,6 +307,12 @@ class GimliCipherScenario(DifferentialScenario):
         diff_bytes: Sequence[int] = (4, 12),
         masks: Optional[np.ndarray] = None,
     ):
+        # split over two permutation calls of at most GIMLI_ROUNDS each
+        if not 0 <= total_rounds <= 2 * GIMLI_ROUNDS:
+            raise DistinguisherError(
+                f"total_rounds must be in [0, {2 * GIMLI_ROUNDS}], got "
+                f"{total_rounds}"
+            )
         if masks is not None:
             masks = np.asarray(masks, dtype=np.uint32)
             if masks.ndim != 2 or masks.shape[1] != 4:
@@ -390,6 +401,10 @@ class ToySpeckScenario(DifferentialScenario):
     word_width = 8
 
     def __init__(self, rounds: int = 4, deltas: Sequence[int] = (0x0040, 0x2000)):
+        if not 1 <= rounds <= TOYSPECK_ROUNDS:
+            raise DistinguisherError(
+                f"rounds must be in [1, {TOYSPECK_ROUNDS}], got {rounds}"
+            )
         masks = np.zeros((len(deltas), 2), dtype=np.uint8)
         for row, delta in enumerate(deltas):
             if not 0 < delta < 1 << 16:

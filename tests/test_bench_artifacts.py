@@ -7,11 +7,15 @@ rejecting garbage.
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(BENCH_DIR))  # the scripts import ``timing``
+
+import timing  # noqa: E402
 
 
 def _load_module(name):
@@ -21,7 +25,6 @@ def _load_module(name):
     return module
 
 
-runner = _load_module("run_benchmarks")
 checker = _load_module("check_regression")
 
 
@@ -37,13 +40,13 @@ def _report(**means):
 
 
 @pytest.mark.parametrize(
-    "suite", ["nn_ops", "ciphers", "serve", "obs", "quant", "jobs"]
+    "suite", ["nn_ops", "ciphers", "serve", "obs", "quant", "jobs", "search"]
 )
 class TestCommittedBaselines:
     def test_baseline_exists_and_validates(self, suite):
         path = BENCH_DIR / f"BENCH_{suite}.json"
         assert path.exists(), f"missing committed baseline {path.name}"
-        runner.validate_bench_file(path)
+        timing.validate_bench_file(path)
 
     def test_baseline_names_cover_suite(self, suite):
         report = json.loads((BENCH_DIR / f"BENCH_{suite}.json").read_text())
@@ -94,6 +97,11 @@ class TestCommittedBaselines:
                 "queue_run_16cells",
                 "queue_replay_16cells",
             },
+            "search": {
+                "oracle_score_single",
+                "oracle_score_batch64",
+                "search_toyspeck_full",
+            },
         }[suite]
         assert expected <= names
 
@@ -134,7 +142,7 @@ class TestValidator:
         path = tmp_path / "BENCH_bad.json"
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         with pytest.raises(ValueError, match=match):
-            runner.validate_bench_file(path)
+            timing.validate_bench_file(path)
 
     def test_rejects_invalid_json(self, tmp_path):
         self._reject(tmp_path, "{not json", "invalid JSON")
@@ -222,4 +230,4 @@ class TestValidator:
                 }
             )
         )
-        runner.validate_bench_file(path)
+        timing.validate_bench_file(path)

@@ -216,6 +216,30 @@ class TestFuzzScenarioSpec:
             pass
 
 
+@pytest.mark.parametrize(
+    "scenario, params",
+    [
+        ("toyspeck", {"rounds": -1}),
+        ("toyspeck", {"rounds": 0}),
+        ("gimli-hash", {"rounds": -1}),
+        ("gimli-hash", {"rounds": 25}),
+        ("gimli-cipher", {"total_rounds": -1}),
+        ("gimli-cipher", {"total_rounds": 49}),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "-".join(
+        f"{k}={v}" for k, v in value.items()
+    ),
+)
+def test_out_of_range_rounds_fail_at_construction(scenario, params):
+    """A round count the cipher would reject at generation is rejected
+    when the prototype is built, as GIFT-16/64 already do."""
+    spec = ScenarioSpec.from_dict(
+        {"scenario": scenario, "params": params, "search": {}}
+    )
+    with pytest.raises(DistinguisherError, match="rounds must be in"):
+        spec.prototype()
+
+
 class TestRunSearch:
     def test_search_stage_alone(self):
         result = run_search(_spec())

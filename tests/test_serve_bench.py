@@ -2,9 +2,13 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(BENCH_DIR))  # the scripts import ``timing``
+
+import timing  # noqa: E402
 
 
 def _load_module(name):
@@ -20,9 +24,11 @@ bench_serve = _load_module("bench_serve")
 
 class TestBenchServe:
     def test_quick_run_emits_schema_valid_artifact(self, tmp_path):
-        out_path = bench_serve.run(quick=True, output_dir=tmp_path)
+        out_path = timing.write_report(
+            "serve", True, bench_serve.run(quick=True), tmp_path
+        )
         assert out_path.name == "BENCH_serve.json"
-        runner.validate_bench_file(out_path)  # the shared schema gate
+        timing.validate_bench_file(out_path)  # the shared schema gate
         report = json.loads(out_path.read_text())
         assert report["suite"] == "serve"
         assert report["quick"] is True
@@ -43,6 +49,6 @@ class TestBenchServe:
         assert sum(engine_entry["batch_size_histogram"].values()) > 0
 
     def test_suite_is_wired_into_the_regression_gate(self):
-        assert "serve" in runner.SCRIPT_SUITES
-        assert "serve" in runner.ALL_SUITES
-        assert runner.SCRIPT_SUITES["serve"].exists()
+        assert "serve" in runner.SUITES
+        assert runner.SUITES["serve"] == BENCH_DIR / "bench_serve.py"
+        assert runner.SUITES["serve"].exists()
